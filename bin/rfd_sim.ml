@@ -16,62 +16,22 @@ module Params = Rfd.Params
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                             *)
 
+module Svc = Rfd.Svc_protocol
+
+let svc_topo_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.topo_of_string s)),
+      fun ppf t -> Format.pp_print_string ppf (Svc.topo_to_string t) )
+
+(* Every form but an edge-list file is the rfd-svc/1 topology grammar. *)
 let topology_conv =
   let parse s =
-    let fail () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "bad topology %S (expected mesh:RxC, internet:N[,M], line:N, ring:N, \
-              clique:N, or a file path)"
-             s))
-    in
-    match String.index_opt s ':' with
-    | Some i -> (
-        let kind = String.sub s 0 i in
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        match kind with
-        | "mesh" -> (
-            match String.split_on_char 'x' rest with
-            | [ r; c ] -> (
-                match (int_of_string_opt r, int_of_string_opt c) with
-                | Some rows, Some cols -> Ok (Scenario.Mesh { rows; cols })
-                | _ -> fail ())
-            | _ -> fail ())
-        | "internet" -> (
-            match String.split_on_char ',' rest with
-            | [ n ] -> (
-                match int_of_string_opt n with
-                | Some nodes -> Ok (Scenario.Internet { nodes; m = 2 })
-                | None -> fail ())
-            | [ n; m ] -> (
-                match (int_of_string_opt n, int_of_string_opt m) with
-                | Some nodes, Some m -> Ok (Scenario.Internet { nodes; m })
-                | _ -> fail ())
-            | _ -> fail ())
-        | "line" | "ring" | "clique" -> (
-            match int_of_string_opt rest with
-            | Some n ->
-                let g =
-                  match kind with
-                  | "line" -> Rfd.Builders.line n
-                  | "ring" -> Rfd.Builders.ring n
-                  | _ -> Rfd.Builders.clique n
-                in
-                Ok (Scenario.Custom g)
-            | None -> fail ())
-        | _ -> fail ())
-    | None ->
-        if Sys.file_exists s then begin
-          let ic = open_in s in
-          let len = in_channel_length ic in
-          let doc = really_input_string ic len in
-          close_in ic;
-          match Rfd.Edge_list.parse_graph doc with
-          | Ok g -> Ok (Scenario.Custom g)
-          | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))
-        end
-        else fail ()
+    if (not (String.contains s ':')) && Sys.file_exists s then
+      let doc = In_channel.with_open_bin s In_channel.input_all in
+      match Rfd.Edge_list.parse_graph doc with
+      | Ok g -> Ok (Scenario.Custom g)
+      | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))
+    else Result.map Svc.scenario_topology (Arg.conv_parser svc_topo_conv s)
   in
   let print ppf = function
     | Scenario.Mesh { rows; cols } -> Format.fprintf ppf "mesh:%dx%d" rows cols
@@ -80,13 +40,13 @@ let topology_conv =
   in
   Arg.conv (parse, print)
 
+let damping_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.damping_of_string s)),
+      fun ppf d -> Format.pp_print_string ppf (Svc.damping_to_string d) )
+
 let params_conv =
-  let parse = function
-    | "cisco" -> Ok (Some Params.cisco)
-    | "juniper" -> Ok (Some Params.juniper)
-    | "none" | "off" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown damping preset %S" s))
-  in
+  let parse s = Result.map Svc.damping_params (Arg.conv_parser damping_conv s) in
   let print ppf = function
     | Some (p : Params.t) -> Format.pp_print_string ppf p.Params.name
     | None -> Format.pp_print_string ppf "none"
@@ -340,6 +300,44 @@ let print_digest_arg =
   in
   Arg.(value & flag & info [ "print-digest" ] ~doc)
 
+(* Shared by run and replay: run [scenario] on the plain engine, or on the
+   partitioned one when [partitions] is set; print [head r], then the
+   partitions, faults and oracle lines, then [tail r]; finish with the
+   digest line and the exit-code convention. *)
+let simulate ~cmd ~budget ?observe ?on_bus ~partitions ~print_digest ~head
+    ?(tail = ignore) scenario =
+  let r, par_stats =
+    try
+      match partitions with
+      | None -> (Rfd.Runner.run ~budget ?observe scenario, None)
+      | Some partitions ->
+          let r, stats = Rfd.Runner.run_partitioned ~budget ?on_bus ~partitions scenario in
+          (r, Some stats)
+    with e ->
+      Format.eprintf "rfd-sim %s: crashed: %s@." cmd (Printexc.to_string e);
+      exit exit_crashed
+  in
+  head r;
+  (match par_stats with
+  | None -> ()
+  | Some s ->
+      Format.printf "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
+        s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
+        (String.concat "/"
+           (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events))));
+  (match
+     ( Rfd.Collector.dropped_updates r.Rfd.Runner.collector,
+       Rfd.Collector.duplicated_updates r.Rfd.Runner.collector )
+   with
+  | 0, 0 -> ()
+  | dropped, duplicated -> Format.printf "faults: dropped=%d duplicated=%d@." dropped duplicated);
+  Format.printf "oracle: time-to-stable=%.1fs time-to-quiet=%.1fs final=%s@."
+    r.Rfd.Runner.time_to_stable r.Rfd.Runner.time_to_quiet
+    (Rfd.Runner.status_to_string r.Rfd.Runner.final_status);
+  tail r;
+  if print_digest then Format.printf "digest: %s@." (Rfd.Runner.result_digest r);
+  if Rfd.Runner.status_is_budget_exceeded r.Rfd.Runner.final_status then exit exit_degraded
+
 let run_cmd =
   let action topology damping mode policy pulses interval mrai seed isp probe reuse_tick
       table_hint background workload transcript budget faults partitions print_digest =
@@ -350,67 +348,39 @@ let run_cmd =
     let trace = Rfd.Trace.create ~enabled:(transcript <> None) () in
     let observe net = Rfd.Tracing.attach trace (Rfd.Network.hooks net) in
     let on_bus hooks = Rfd.Tracing.attach trace hooks in
-    let r, par_stats =
-      try
-        match partitions with
-        | None -> (Rfd.Runner.run ~budget ~observe scenario, None)
-        | Some partitions ->
-            let r, stats = Rfd.Runner.run_partitioned ~budget ~on_bus ~partitions scenario in
-            (r, Some stats)
-      with e ->
-        Format.eprintf "rfd-sim run: crashed: %s@." (Printexc.to_string e);
-        exit exit_crashed
+    let head r = Format.printf "%a@.@." Rfd.Runner.pp_result r in
+    let tail r =
+      Format.printf "phases:@.";
+      List.iter (fun s -> Format.printf "  %a@." Rfd.Phases.pp_span s) r.Rfd.Runner.spans;
+      (match Rfd.Collector.probed_pairs r.Rfd.Runner.collector with
+      | [] -> ()
+      | pairs ->
+          List.iter
+            (fun (router, peer) ->
+              match Rfd.Collector.penalty_trace r.Rfd.Runner.collector ~router ~peer with
+              | Some ts when Rfd.Timeseries.length ts > 0 ->
+                  Format.printf "penalty trace r%d <- peer %d:@." router peer;
+                  Rfd.Timeseries.iter ts (fun ~time ~value ->
+                      Format.printf "  %10.2f  %8.1f@." time value)
+              | _ -> ())
+            pairs);
+      let intended =
+        match damping with
+        | Some params ->
+            Rfd.Intended.convergence_time params ~pulses ~interval ~tup:r.Rfd.Runner.tup
+        | None -> r.Rfd.Runner.tup
+      in
+      Format.printf "@.intended convergence for this flap pattern: %.0f s@." intended;
+      (match transcript with
+      | None -> ()
+      | Some n ->
+          Format.printf "@.protocol transcript (first %d events):@." n;
+          List.iteri
+            (fun i e -> if i < n then Format.printf "%a@." Rfd.Trace.pp_entry e)
+            (Rfd.Trace.entries trace))
     in
-    Format.printf "%a@.@." Rfd.Runner.pp_result r;
-    (match par_stats with
-    | None -> ()
-    | Some s ->
-        Format.printf
-          "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
-          s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
-          (String.concat "/"
-             (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events))));
-    (match
-       ( Rfd.Collector.dropped_updates r.Rfd.Runner.collector,
-         Rfd.Collector.duplicated_updates r.Rfd.Runner.collector )
-     with
-    | 0, 0 -> ()
-    | dropped, duplicated ->
-        Format.printf "faults: dropped=%d duplicated=%d@." dropped duplicated);
-    Format.printf "oracle: time-to-stable=%.1fs time-to-quiet=%.1fs final=%s@."
-      r.Rfd.Runner.time_to_stable r.Rfd.Runner.time_to_quiet
-      (Rfd.Runner.status_to_string r.Rfd.Runner.final_status);
-    Format.printf "phases:@.";
-    List.iter (fun s -> Format.printf "  %a@." Rfd.Phases.pp_span s) r.Rfd.Runner.spans;
-    (match Rfd.Collector.probed_pairs r.Rfd.Runner.collector with
-    | [] -> ()
-    | pairs ->
-        List.iter
-          (fun (router, peer) ->
-            match Rfd.Collector.penalty_trace r.Rfd.Runner.collector ~router ~peer with
-            | Some ts when Rfd.Timeseries.length ts > 0 ->
-                Format.printf "penalty trace r%d <- peer %d:@." router peer;
-                Rfd.Timeseries.iter ts (fun ~time ~value ->
-                    Format.printf "  %10.2f  %8.1f@." time value)
-            | _ -> ())
-          pairs);
-    let intended =
-      match damping with
-      | Some params ->
-          Rfd.Intended.convergence_time params ~pulses ~interval ~tup:r.Rfd.Runner.tup
-      | None -> r.Rfd.Runner.tup
-    in
-    Format.printf "@.intended convergence for this flap pattern: %.0f s@." intended;
-    (match transcript with
-    | None -> ()
-    | Some n ->
-        Format.printf "@.protocol transcript (first %d events):@." n;
-        List.iteri
-          (fun i e -> if i < n then Format.printf "%a@." Rfd.Trace.pp_entry e)
-          (Rfd.Trace.entries trace));
-    if print_digest then Format.printf "digest: %s@." (Rfd.Runner.result_digest r);
-    if Rfd.Runner.status_is_budget_exceeded r.Rfd.Runner.final_status then
-      exit exit_degraded
+    simulate ~cmd:"run" ~budget ~observe ~on_bus ~partitions ~print_digest ~head ~tail
+      scenario
   in
   let doc = "run one flap scenario and report metrics" in
   Cmd.v (Cmd.info "run" ~doc ~man:exit_doc)
@@ -574,35 +544,13 @@ let replay_cmd =
         Format.eprintf "rfd-sim replay: %s@." msg;
         exit exit_crashed
     in
-    let r, par_stats =
-      try
-        match partitions with
-        | None -> (Rfd.Runner.run ~budget scenario, None)
-        | Some partitions ->
-            let r, stats = Rfd.Runner.run_partitioned ~budget ~partitions scenario in
-            (r, Some stats)
-      with e ->
-        Format.eprintf "rfd-sim replay: crashed: %s@." (Printexc.to_string e);
-        exit exit_crashed
+    let head r =
+      Format.printf "replayed %d trace event(s) over %d prefix(es)@.%a@."
+        (Rfd.Update_trace.event_count trace)
+        (Rfd.Update_trace.max_prefix trace)
+        Rfd.Runner.pp_result r
     in
-    Format.printf "replayed %d trace event(s) over %d prefix(es)@."
-      (Rfd.Update_trace.event_count trace)
-      (Rfd.Update_trace.max_prefix trace);
-    Format.printf "%a@." Rfd.Runner.pp_result r;
-    (match par_stats with
-    | None -> ()
-    | Some s ->
-        Format.printf
-          "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
-          s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
-          (String.concat "/"
-             (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events))));
-    Format.printf "oracle: time-to-stable=%.1fs time-to-quiet=%.1fs final=%s@."
-      r.Rfd.Runner.time_to_stable r.Rfd.Runner.time_to_quiet
-      (Rfd.Runner.status_to_string r.Rfd.Runner.final_status);
-    if print_digest then Format.printf "digest: %s@." (Rfd.Runner.result_digest r);
-    if Rfd.Runner.status_is_budget_exceeded r.Rfd.Runner.final_status then
-      exit exit_degraded
+    simulate ~cmd:"replay" ~budget ~partitions ~print_digest ~head scenario
   in
   let trace_file_arg =
     let doc = "The rfd-trace/1 update trace to replay." in
@@ -712,13 +660,7 @@ let intended_cmd =
 
 let topo_cmd =
   let action topology seed relations =
-    let rng = Rfd.Rng.create seed in
-    let graph =
-      match topology with
-      | Scenario.Mesh { rows; cols } -> Rfd.Builders.mesh ~rows ~cols
-      | Scenario.Internet { nodes; m } -> Rfd.Random_graphs.barabasi_albert rng ~n:nodes ~m
-      | Scenario.Custom g -> g
-    in
+    let graph = Rfd.Runner.base_graph ~seed topology in
     if relations then
       print_string (Rfd.Edge_list.print (Rfd.Relations.infer_by_degree graph))
     else print_string (Rfd.Edge_list.print_graph graph)
@@ -735,13 +677,7 @@ let topo_cmd =
 
 let metrics_cmd =
   let action topology seed =
-    let rng = Rfd.Rng.create seed in
-    let graph =
-      match topology with
-      | Scenario.Mesh { rows; cols } -> Rfd.Builders.mesh ~rows ~cols
-      | Scenario.Internet { nodes; m } -> Rfd.Random_graphs.barabasi_albert rng ~n:nodes ~m
-      | Scenario.Custom g -> g
-    in
+    let graph = Rfd.Runner.base_graph ~seed topology in
     let s = Rfd.Topo_metrics.summarize graph in
     Format.printf "%a@." Rfd.Topo_metrics.pp_summary s;
     (match Rfd.Topo_metrics.power_law_alpha graph with
@@ -757,8 +693,6 @@ let metrics_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* query — client side of the rfd-simd daemon                          *)
-
-module Svc = Rfd.Svc_protocol
 
 let socket_arg =
   let doc = "Unix-domain socket of the rfd-simd daemon." in
@@ -777,11 +711,6 @@ let fleet_arg =
     & opt (some (list ~sep:',' string)) None
     & info [ "fleet" ] ~docv:"SOCK1,SOCK2,..." ~doc)
 
-let svc_topo_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.topo_of_string s)),
-      fun ppf t -> Format.pp_print_string ppf (Svc.topo_to_string t) )
-
 let svc_topology_arg =
   let doc = "Topology: mesh:RxC, internet:N[,M], line:N, ring:N or clique:N." in
   Arg.(
@@ -791,18 +720,7 @@ let svc_topology_arg =
 
 let svc_damping_arg =
   let doc = "Damping parameters: cisco, juniper or none." in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("cisco", Svc.Cisco);
-             ("juniper", Svc.Juniper);
-             ("none", Svc.No_damping);
-             ("off", Svc.No_damping);
-           ])
-        Svc.Cisco
-    & info [ "d"; "damping" ] ~doc)
+  Arg.(value & opt damping_conv Svc.Cisco & info [ "d"; "damping" ] ~doc)
 
 let query_timeout_arg =
   let doc =

@@ -56,11 +56,15 @@ type result = {
 
 let origin_prefix = Prefix.v 0
 
-let build_graph scenario rng =
-  match scenario.Scenario.topology with
+let build_graph topology rng =
+  match topology with
   | Scenario.Mesh { rows; cols } -> Rfd_topology.Builders.mesh ~rows ~cols
   | Scenario.Internet { nodes; m } -> Rfd_topology.Random_graphs.barabasi_albert rng ~n:nodes ~m
   | Scenario.Custom g -> g
+
+(* The run draws its graph from the first split of the seed's stream, so a
+   fresh stream's first split rebuilds exactly that graph. *)
+let base_graph ~seed topology = build_graph topology (Rng.split (Rng.create seed))
 
 let pick_isp scenario rng graph =
   match scenario.Scenario.isp with
@@ -78,9 +82,9 @@ let attach_origin graph isp =
   let graph = Graph.add_edges graph [ (isp, origin) ] in
   (graph, origin)
 
-let relations_for scenario graph ~origin ~isp =
+let policy_for scenario graph ~origin ~isp =
   match scenario.Scenario.policy with
-  | Scenario.Announce_all -> None
+  | Scenario.Announce_all -> Policy.announce_all
   | Scenario.No_valley ->
       let base = Relations.infer_by_degree graph in
       (* Re-state every inferred label, then force the stub edge. *)
@@ -93,7 +97,7 @@ let relations_for scenario graph ~origin ~isp =
             in
             ((u, v), lbl) :: acc)
       in
-      Some (Relations.make graph labels)
+      Policy.no_valley (Relations.make graph labels)
 
 (* Resolve the scenario's workload to a concrete trace once per run.
    [nodes] is the {e base} topology's node count (trace origins index base
@@ -124,49 +128,71 @@ let resolve_probe scenario graph ~origin =
       in
       find 0
 
-let run ?(budget = no_budget) ?observe scenario =
+(* ------------------------------------------------------------------ *)
+(* The phase script                                                    *)
+
+(* Everything the phase script calls on an engine. [sync] returns the
+   clock after bringing every partition clock up to it, so a direct
+   origination samples its send times from the same "now" in any layout.
+   [admin] carries the link operations (link-state flaps, fault plans);
+   [observe] runs the caller's observers once the flap collector is
+   attached; [flush] replays observations buffered since the last barrier. *)
+type engine = {
+  bus : Hooks.t;
+  drive : budget -> [ `Drained | `Horizon | `Budget ];
+  sync : unit -> float;
+  observe : unit -> unit;
+  originate : node:int -> Prefix.t -> unit;
+  schedule_originate : at:float -> node:int -> Prefix.t -> unit;
+  schedule_withdraw : at:float -> node:int -> Prefix.t -> unit;
+  admin : Rfd_faults.Injector.target;
+  flush : unit -> unit;
+  status : Prefix.t -> Oracle.level;
+  sim_events : unit -> int;
+  peak_heap : unit -> int;
+  reuse_timer_events : unit -> int;
+  peak_reuse_timers : unit -> int;
+}
+
+(* The paper's measurement, written once for both engines: settle the
+   RIB, announce and time Tup, run the flap train, then read convergence,
+   suppression and reuse-timer activity. The RNG split order (graph, isp,
+   background) and the scheduling order (pulse events, then the workload
+   trace, then faults) are part of every result digest. [with_engine]
+   builds the engine over the resolved topology and hands it to the rest
+   of the script; its return value is the script's. *)
+let script ~caller ~budget scenario with_engine =
   (match Scenario.validate scenario with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run: " ^ msg));
+  | Error msg -> invalid_arg (caller ^ ": " ^ msg));
   let wall_start = Rfd_engine.Clock.wall () in
   let cpu_start = Rfd_engine.Clock.cpu () in
   let rng = Rng.create scenario.Scenario.config.Config.seed in
-  let base_graph = build_graph scenario (Rng.split rng) in
+  let base_graph = build_graph scenario.Scenario.topology (Rng.split rng) in
   let isp = pick_isp scenario (Rng.split rng) base_graph in
   let graph, origin = attach_origin base_graph isp in
-  let relations = relations_for scenario graph ~origin ~isp in
-  let policy =
-    match relations with
-    | None -> Policy.announce_all
-    | Some rel -> Policy.no_valley rel
-  in
-  let sim = Sim.create () in
-  let net = Network.create ~policy ~config:scenario.Scenario.config sim graph in
+  with_engine ~policy:(policy_for scenario graph ~origin ~isp) graph @@ fun e ->
   (* One budget spans the whole run: [max_events] caps the total executed
-     event count (the simulator counts cumulatively) and [max_sim_time] is
-     an absolute clock horizon, so every phase just re-presents the same
-     limits. Once either trips, the remaining phases are skipped and the
-     result is partial — timers may still be armed, RIBs mid-convergence. *)
+     event count and [max_sim_time] is an absolute clock horizon, so every
+     phase just re-presents the same limits. Once either trips, the
+     remaining phases are skipped and the result is partial — timers may
+     still be armed, RIBs mid-convergence. *)
   let exceeded = ref false in
   let drive () =
     if not !exceeded then
-      match
-        Sim.run_budgeted ?until:budget.max_sim_time ?max_events:budget.max_events sim
-      with
-      | `Drained -> ()
-      | `Horizon | `Budget -> exceeded := true
+      match e.drive budget with `Drained -> () | `Horizon | `Budget -> exceeded := true
   in
   (* Phase 1: initial route propagation, measured as Tup. Background
      prefixes (stable, from sampled nodes) are originated first so the
      flapping prefix converges over a populated RIB. *)
   let initial = Collector.create () in
-  Collector.attach initial (Network.hooks net);
+  Collector.attach initial e.bus;
   let background_rng = Rng.split rng in
   let background =
     List.init scenario.Scenario.background_prefixes (fun i ->
         let prefix = Prefix.v (i + 1) in
         let node = Rng.int background_rng (Graph.num_nodes graph) in
-        Network.originate net ~node prefix;
+        e.originate ~node prefix;
         (node, prefix))
   in
   let workload = workload_trace scenario ~nodes:(Graph.num_nodes base_graph) in
@@ -177,12 +203,11 @@ let run ?(budget = no_budget) ?observe scenario =
   | None -> ()
   | Some trace ->
       List.iter
-        (fun (o, prefix) ->
-          Network.originate net ~node:(trace_node ~origin o) (Prefix.v prefix))
+        (fun (o, prefix) -> e.originate ~node:(trace_node ~origin o) (Prefix.v prefix))
         (Trace.pre_originations trace));
   drive ();
-  let origin_announced_at = Sim.now sim in
-  Network.originate net ~node:origin origin_prefix;
+  let origin_announced_at = e.sync () in
+  e.originate ~node:origin origin_prefix;
   drive ();
   let tup =
     match Collector.last_update_time initial with
@@ -192,57 +217,50 @@ let run ?(budget = no_budget) ?observe scenario =
   (* Phase 2: the flap train. *)
   let probe_pairs = resolve_probe scenario graph ~origin in
   let collector = Collector.create ~probe_pairs () in
-  Collector.attach collector (Network.hooks net);
-  (match observe with Some f -> f net | None -> ());
-  let flap_start = Sim.now sim +. scenario.Scenario.settle_gap in
+  Collector.attach collector e.bus;
+  e.observe ();
+  let flap_start = e.sync () +. scenario.Scenario.settle_gap in
   let pattern =
-    match scenario.Scenario.pattern with
-    | Some pattern -> pattern
-    | None ->
-        Pulse.Periodic
-          { pulses = scenario.Scenario.pulses; interval = scenario.Scenario.flap_interval }
+    let { Scenario.pulses; flap_interval = interval; _ } = scenario in
+    Option.value scenario.Scenario.pattern ~default:(Pulse.Periodic { pulses; interval })
   in
   let final_announcement =
-    match scenario.Scenario.mechanism with
-    | Scenario.Origin_updates ->
-        Pulse.schedule net ~origin ~prefix:origin_prefix ~start:flap_start pattern
-    | Scenario.Link_state ->
-        let events = Pulse.events pattern in
-        List.iter
-          (fun (e : Pulse.event) ->
-            let at = flap_start +. e.Pulse.at in
-            match e.Pulse.kind with
-            | `Withdraw -> Network.schedule_fail_link net ~at isp origin
-            | `Announce -> Network.schedule_restore_link net ~at isp origin)
-          events;
-        (match List.rev events with
-        | [] -> flap_start
-        | last :: _ -> flap_start +. last.Pulse.at)
+    let events = Pulse.events pattern in
+    List.iter
+      (fun (p : Pulse.event) ->
+        let at = flap_start +. p.Pulse.at in
+        match (scenario.Scenario.mechanism, p.Pulse.kind) with
+        | Scenario.Origin_updates, `Withdraw -> e.schedule_withdraw ~at ~node:origin origin_prefix
+        | Scenario.Origin_updates, `Announce -> e.schedule_originate ~at ~node:origin origin_prefix
+        | Scenario.Link_state, `Withdraw -> e.admin.tgt_fail_link ~at isp origin
+        | Scenario.Link_state, `Announce -> e.admin.tgt_restore_link ~at isp origin)
+      events;
+    match List.rev events with [] -> flap_start | last :: _ -> flap_start +. last.Pulse.at
   in
-  (* The workload trace shares the flap phase's time origin; its events are
-     scheduled after the pulse train's, so simultaneous events pop in the
-     same (pulse first) order on every engine. *)
+  (* The workload trace and the fault plan share the flap phase's time
+     origin. Their events are scheduled after the pulse train's, so
+     simultaneous events pop in the same (pulse first) order on every
+     engine. *)
   let final_announcement =
     match workload with
     | None -> final_announcement
     | Some trace ->
         List.iter
-          (fun (e : Trace.event) ->
-            let at = flap_start +. e.Trace.time in
-            let node = trace_node ~origin e.Trace.origin in
-            let prefix = Prefix.v e.Trace.prefix in
-            match e.Trace.kind with
-            | Trace.Announce -> Network.schedule_originate net ~at ~node prefix
-            | Trace.Withdraw -> Network.schedule_withdraw net ~at ~node prefix)
+          (fun (t : Trace.event) ->
+            let at = flap_start +. t.Trace.time in
+            let node = trace_node ~origin t.Trace.origin in
+            let prefix = Prefix.v t.Trace.prefix in
+            match t.Trace.kind with
+            | Trace.Announce -> e.schedule_originate ~at ~node prefix
+            | Trace.Withdraw -> e.schedule_withdraw ~at ~node prefix)
           trace;
         Float.max final_announcement (flap_start +. Trace.last_time trace)
   in
-  (* Fault injection shares the flap phase's time origin, so plan event
-     times compose with the pulse pattern's. *)
   (match scenario.Scenario.faults with
-  | Some plan -> Rfd_faults.Injector.install ~start:flap_start plan net
+  | Some plan -> Rfd_faults.Injector.install_target ~start:flap_start plan e.admin
   | None -> ());
   drive ();
+  e.flush ();
   let convergence_time =
     match Collector.last_update_time collector with
     | Some t -> Float.max 0. (t -. final_announcement)
@@ -252,25 +270,20 @@ let run ?(budget = no_budget) ?observe scenario =
      last observed activity of each kind marks the transition into the
      corresponding oracle level. Stable = routing and MRAI machinery
      inert; quiet = additionally every reuse timer fired. *)
-  let final_status =
-    let level = Network.status net origin_prefix in
-    if !exceeded then Budget_exceeded level else Finished level
-  in
+  let level = e.status origin_prefix in
   let fold_last acc = function Some t -> Float.max acc t | None -> acc in
   let stable_abs =
     List.fold_left fold_last final_announcement
       [ Collector.last_update_time collector; Collector.last_mrai_time collector ]
   in
   let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
-  let time_to_stable = stable_abs -. final_announcement in
-  let time_to_quiet = quiet_abs -. final_announcement in
-  let update_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.update_series collector))
+  let times series = Array.map fst (Rfd_engine.Timeseries.points series) in
+  let spans =
+    Phases.classify
+      ~update_times:(times (Collector.update_series collector))
+      ~reuse_times:(times (Collector.reuse_series collector))
+      ~flap_start
   in
-  let reuse_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.reuse_series collector))
-  in
-  let spans = Phases.classify ~update_times ~reuse_times ~flap_start in
   {
     scenario;
     origin;
@@ -281,20 +294,43 @@ let run ?(budget = no_budget) ?observe scenario =
     flap_start;
     final_announcement;
     convergence_time;
-    time_to_stable;
-    time_to_quiet;
-    final_status;
+    time_to_stable = stable_abs -. final_announcement;
+    time_to_quiet = quiet_abs -. final_announcement;
+    final_status = (if !exceeded then Budget_exceeded level else Finished level);
     message_count = Collector.update_count collector;
     collector;
     spans;
     background;
-    sim_events = Sim.events_executed sim;
-    peak_heap = Sim.max_heap_size sim;
-    reuse_timer_events = Network.reuse_timer_events net;
-    peak_reuse_timers = Network.peak_reuse_timers net;
+    sim_events = e.sim_events ();
+    peak_heap = e.peak_heap ();
+    reuse_timer_events = e.reuse_timer_events ();
+    peak_reuse_timers = e.peak_reuse_timers ();
     wall_seconds = Rfd_engine.Clock.wall () -. wall_start;
     cpu_seconds = Rfd_engine.Clock.cpu () -. cpu_start;
   }
+
+let run ?(budget = no_budget) ?observe scenario =
+  script ~caller:"Runner.run" ~budget scenario @@ fun ~policy graph k ->
+  let sim = Sim.create () in
+  let net = Network.create ~policy ~config:scenario.Scenario.config sim graph in
+  k
+    {
+      bus = Network.hooks net;
+      drive =
+        (fun b -> Sim.run_budgeted ?until:b.max_sim_time ?max_events:b.max_events sim);
+      sync = (fun () -> Sim.now sim);
+      observe = (fun () -> Option.iter (fun f -> f net) observe);
+      originate = Network.originate net;
+      schedule_originate = Network.schedule_originate net;
+      schedule_withdraw = Network.schedule_withdraw net;
+      admin = Rfd_faults.Injector.target_of_network net;
+      flush = ignore;
+      status = Network.status net;
+      sim_events = (fun () -> Sim.events_executed sim);
+      peak_heap = (fun () -> Sim.max_heap_size sim);
+      reuse_timer_events = (fun () -> Network.reuse_timer_events net);
+      peak_reuse_timers = (fun () -> Network.peak_reuse_timers net);
+    }
 
 (* Host timings are the only nondeterministic fields of a result, so they
    are zeroed before hashing: equal digests mean equal simulation outcomes,
@@ -319,180 +355,44 @@ type par_stats = {
   paths_interned_total : int;
 }
 
-(* Mirrors [run] phase by phase: same RNG split order, same scheduling
-   order, same collector handover points. Observation happens on the
-   ensemble's canonical replay bus instead of a network's own hook bus, so
-   the collected series are identical for any partition count (including
-   1). The two deliberate differences from [run] are documented on
-   {!Par_net}: per-directed-link transport RNG streams and the
-   barrier-granular budget check. *)
+(* The same script over a Par_net. Observation happens on the ensemble's
+   canonical replay bus instead of a network's own hook bus, so the
+   collected series are identical for any partition count (including 1).
+   The two deliberate differences from [run] are documented on {!Par_net}:
+   per-directed-link transport RNG streams and the barrier-granular budget
+   check. *)
 let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario =
-  (match Scenario.validate scenario with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run_partitioned: " ^ msg));
+  script ~caller:"Runner.run_partitioned" ~budget scenario @@ fun ~policy graph k ->
   if partitions < 1 then invalid_arg "Runner.run_partitioned: partitions must be >= 1";
-  let wall_start = Rfd_engine.Clock.wall () in
-  let cpu_start = Rfd_engine.Clock.cpu () in
-  let rng = Rng.create scenario.Scenario.config.Config.seed in
-  let base_graph = build_graph scenario (Rng.split rng) in
-  let isp = pick_isp scenario (Rng.split rng) base_graph in
-  let graph, origin = attach_origin base_graph isp in
-  let relations = relations_for scenario graph ~origin ~isp in
-  let policy =
-    match relations with
-    | None -> Policy.announce_all
-    | Some rel -> Policy.no_valley rel
-  in
   let par = Par_net.create ~policy ~config:scenario.Scenario.config ~partitions graph in
   Fun.protect ~finally:(fun () -> Par_net.shutdown par) @@ fun () ->
-  let bus = Par_net.bus par in
-  let exceeded = ref false in
-  let drive () =
-    if not !exceeded then
-      match
-        Par_net.drive ?until:budget.max_sim_time ?max_events:budget.max_events par
-      with
-      | `Drained -> ()
-      | `Horizon | `Budget -> exceeded := true
-  in
-  (* Phase 1: background prefixes, then the origin announcement (Tup). *)
-  let initial = Collector.create () in
-  Collector.attach initial bus;
-  let background_rng = Rng.split rng in
-  let background =
-    List.init scenario.Scenario.background_prefixes (fun i ->
-        let prefix = Prefix.v (i + 1) in
-        let node = Rng.int background_rng (Graph.num_nodes graph) in
-        Par_net.originate par ~node prefix;
-        (node, prefix))
-  in
-  let workload = workload_trace scenario ~nodes:(Graph.num_nodes base_graph) in
-  (match workload with
-  | None -> ()
-  | Some trace ->
-      List.iter
-        (fun (o, prefix) ->
-          Par_net.originate par ~node:(trace_node ~origin o) (Prefix.v prefix))
-        (Trace.pre_originations trace));
-  drive ();
-  (* Jump every partition's clock to the global last-event time before the
-     direct origination below, so the origin's send times are sampled from
-     the same "now" no matter which partition owns it. *)
-  let origin_announced_at = Par_net.now par in
-  Par_net.advance_all par ~time:origin_announced_at;
-  Par_net.originate par ~node:origin origin_prefix;
-  drive ();
-  let tup =
-    match Collector.last_update_time initial with
-    | Some t -> Float.max 0. (t -. origin_announced_at)
-    | None -> 0.
-  in
-  (* Phase 2: the flap train. *)
-  let probe_pairs = resolve_probe scenario graph ~origin in
-  let collector = Collector.create ~probe_pairs () in
-  Collector.attach collector bus;
-  (match on_bus with Some f -> f bus | None -> ());
-  (match observe with Some f -> Par_net.iter_nets par f | None -> ());
-  let phase2_now = Par_net.now par in
-  Par_net.advance_all par ~time:phase2_now;
-  let flap_start = phase2_now +. scenario.Scenario.settle_gap in
-  let pattern =
-    match scenario.Scenario.pattern with
-    | Some pattern -> pattern
-    | None ->
-        Pulse.Periodic
-          { pulses = scenario.Scenario.pulses; interval = scenario.Scenario.flap_interval }
-  in
-  let final_announcement =
-    let events = Pulse.events pattern in
-    List.iter
-      (fun (e : Pulse.event) ->
-        let at = flap_start +. e.Pulse.at in
-        match (scenario.Scenario.mechanism, e.Pulse.kind) with
-        | Scenario.Origin_updates, `Withdraw ->
-            Par_net.schedule_withdraw par ~at ~node:origin origin_prefix
-        | Scenario.Origin_updates, `Announce ->
-            Par_net.schedule_originate par ~at ~node:origin origin_prefix
-        | Scenario.Link_state, `Withdraw -> Par_net.schedule_fail_link par ~at isp origin
-        | Scenario.Link_state, `Announce -> Par_net.schedule_restore_link par ~at isp origin)
-      events;
-    match List.rev events with
-    | [] -> flap_start
-    | last :: _ -> flap_start +. last.Pulse.at
-  in
-  let final_announcement =
-    match workload with
-    | None -> final_announcement
-    | Some trace ->
-        List.iter
-          (fun (e : Trace.event) ->
-            let at = flap_start +. e.Trace.time in
-            let node = trace_node ~origin e.Trace.origin in
-            let prefix = Prefix.v e.Trace.prefix in
-            match e.Trace.kind with
-            | Trace.Announce -> Par_net.schedule_originate par ~at ~node prefix
-            | Trace.Withdraw -> Par_net.schedule_withdraw par ~at ~node prefix)
-          trace;
-        Float.max final_announcement (flap_start +. Trace.last_time trace)
-  in
-  (match scenario.Scenario.faults with
-  | Some plan -> Par_net.install_faults ~start:flap_start plan par
-  | None -> ());
-  drive ();
-  (* Flush observations recorded after the last barrier (e.g. hooks fired
-     by direct originations when a budget tripped mid-phase). *)
-  Par_net.flush par;
-  let convergence_time =
-    match Collector.last_update_time collector with
-    | Some t -> Float.max 0. (t -. final_announcement)
-    | None -> 0.
-  in
-  let final_status =
-    let level = Par_net.status par origin_prefix in
-    if !exceeded then Budget_exceeded level else Finished level
-  in
-  let fold_last acc = function Some t -> Float.max acc t | None -> acc in
-  let stable_abs =
-    List.fold_left fold_last final_announcement
-      [ Collector.last_update_time collector; Collector.last_mrai_time collector ]
-  in
-  let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
-  let time_to_stable = stable_abs -. final_announcement in
-  let time_to_quiet = quiet_abs -. final_announcement in
-  let update_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.update_series collector))
-  in
-  let reuse_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.reuse_series collector))
-  in
-  let spans = Phases.classify ~update_times ~reuse_times ~flap_start in
   let result =
-    {
-      scenario;
-      origin;
-      isp;
-      num_nodes = Graph.num_nodes graph;
-      tup;
-      initial_updates = Collector.update_count initial;
-      flap_start;
-      final_announcement;
-      convergence_time;
-      time_to_stable;
-      time_to_quiet;
-      final_status;
-      message_count = Collector.update_count collector;
-      collector;
-      spans;
-      background;
-      sim_events = Par_net.sim_events par;
-      peak_heap = Par_net.peak_heap par;
-      reuse_timer_events = Par_net.reuse_timer_events par;
-      peak_reuse_timers = Par_net.peak_reuse_timers par;
-      wall_seconds = Rfd_engine.Clock.wall () -. wall_start;
-      cpu_seconds = Rfd_engine.Clock.cpu () -. cpu_start;
-    }
+    k
+      {
+        bus = Par_net.bus par;
+        drive = (fun b -> Par_net.drive ?until:b.max_sim_time ?max_events:b.max_events par);
+        sync =
+          (fun () ->
+            let now = Par_net.now par in
+            Par_net.advance_all par ~time:now;
+            now);
+        observe =
+          (fun () ->
+            Option.iter (fun f -> f (Par_net.bus par)) on_bus;
+            Option.iter (Par_net.iter_nets par) observe);
+        originate = Par_net.originate par;
+        schedule_originate = Par_net.schedule_originate par;
+        schedule_withdraw = Par_net.schedule_withdraw par;
+        admin = Par_net.fault_target par;
+        flush = (fun () -> Par_net.flush par);
+        status = Par_net.status par;
+        sim_events = (fun () -> Par_net.sim_events par);
+        peak_heap = (fun () -> Par_net.peak_heap par);
+        reuse_timer_events = (fun () -> Par_net.reuse_timer_events par);
+        peak_reuse_timers = (fun () -> Par_net.peak_reuse_timers par);
+      }
   in
-  let stats =
+  ( result,
     {
       partitions = Par_net.partitions par;
       cut_edges = Par_net.cut_edges par;
@@ -500,9 +400,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       per_partition_events = Par_net.per_partition_events par;
       routes_interned_total = Par_net.routes_interned par;
       paths_interned_total = Par_net.paths_interned par;
-    }
-  in
-  (result, stats)
+    } )
 
 let pp_result ppf r =
   Format.fprintf ppf

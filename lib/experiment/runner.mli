@@ -117,6 +117,15 @@ val run : ?budget:budget -> ?observe:(Rfd_bgp.Network.t -> unit) -> Scenario.t -
 val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
 
+val base_graph : seed:int -> Scenario.topology -> Rfd_topology.Graph.t
+(** The topology a run with config seed [seed] simulates, before the
+    origin stub is attached: [Mesh] and [Internet] are built from the
+    first split of the seed's RNG stream, exactly as {!run} and
+    {!run_partitioned} build them; [Custom] is returned as is. The one
+    place a scenario topology becomes a graph — {!Sweep.materialize} and
+    [rfd-sim topo]/[metrics] resolve through it too. Raises
+    [Invalid_argument] on a shape the generators reject. *)
+
 val result_digest : result -> string
 (** Hex MD5 over the marshalled result with the host-timing fields
     ([wall_seconds], [cpu_seconds]) and [peak_heap] zeroed — a fingerprint
@@ -129,12 +138,14 @@ val result_digest : result -> string
 
 (** {1 Partitioned execution}
 
-    {!run_partitioned} executes the same scenario phases on a {!Par_net}:
-    the topology is split across domains and advanced in conservative
-    lockstep epochs. The result is bit-identical (per {!result_digest})
-    for every [partitions] value — including 1 — but deliberately not
-    comparable to {!run}, which uses the historical shared transport RNG
-    streams; see {!Par_net} for the two documented differences. *)
+    {!run} and {!run_partitioned} execute one phase script over two
+    engines: a single {!Rfd_bgp.Network}, or a {!Par_net} whose topology
+    is split across domains and advanced in conservative lockstep epochs.
+    The script fixes the RNG split order and the scheduling order, so a
+    partitioned result is bit-identical (per {!result_digest}) for every
+    [partitions] value — including 1. It is deliberately not comparable to
+    {!run}, which keeps the historical shared transport RNG streams; see
+    {!Par_net} for the two documented differences. *)
 
 type par_stats = {
   partitions : int;  (** effective count (clamped to the node count) *)
@@ -152,11 +163,11 @@ val run_partitioned :
   partitions:int ->
   Scenario.t ->
   result * par_stats
-(** Like {!run} on a partitioned ensemble. [observe] is called once per
-    partition network (introspection of tables/graphs); [on_bus] is called
-    once with the canonical replay bus — attach {!Tracing} and other
-    event observers there, right where [run]'s [observe] would wrap the
-    network hooks. Budget limits are checked at epoch barriers, so a
+(** The phase script of {!run} on a partitioned ensemble. [observe] is
+    called once per partition network (introspection of tables/graphs);
+    [on_bus] is called once with the canonical replay bus — attach
+    {!Tracing} and other event observers there, right where [run]'s
+    [observe] would wrap the network hooks. Budget limits are checked at epoch barriers, so a
     tripped budget can overshoot by up to one epoch (identically for every
     partition count). Raises [Invalid_argument] when the scenario fails
     validation or [partitions < 1]. *)

@@ -68,9 +68,8 @@ val materialize :
   Scenario.t ->
   Scenario.t
 (** Resolve a valid scenario's [Mesh]/[Internet] topology into the
-    [Custom] graph {!Rfd_experiment.Runner.run} would build for it (the
-    graph comes from the same split of the config seed's RNG stream, so
-    the substitution is bit-identical). [Custom] topologies and invalid
+    [Custom] graph {!Runner.base_graph} builds for it — the run's own
+    resolver, so the substitution is bit-identical. [Custom] topologies and invalid
     scenarios pass through untouched. [memo], keyed by
     [(config seed, topology)], lets repeated callers — the jobs of one
     sweep, or a long-lived {!Rfd_service} daemon — share one graph

@@ -7,6 +7,7 @@
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
 module Journal = Rfd_experiment.Journal
+module Sweep = Rfd_experiment.Sweep
 module Json = Rfd_experiment.Json
 module Config = Rfd_bgp.Config
 module Params = Rfd_damping.Params
@@ -139,6 +140,11 @@ let damping_of_string = function
   | "juniper" -> Ok Juniper
   | s -> Error (Printf.sprintf "unknown damping preset %S" s)
 
+let damping_params = function
+  | No_damping -> None
+  | Cisco -> Some Params.cisco
+  | Juniper -> Some Params.juniper
+
 let mode_to_string = function
   | Config.Plain -> "plain"
   | Config.Rcn -> "rcn"
@@ -167,6 +173,13 @@ let topo_nodes = function
       if rows <= 0 || cols <= 0 then 0 else rows * cols
   | Internet { nodes; _ } -> nodes
   | Line n | Ring n | Clique n -> n
+
+let scenario_topology = function
+  | Mesh { rows; cols } -> Scenario.Mesh { rows; cols }
+  | Internet { nodes; m } -> Scenario.Internet { nodes; m }
+  | Line n -> Scenario.Custom (Builders.line n)
+  | Ring n -> Scenario.Custom (Builders.ring n)
+  | Clique n -> Scenario.Custom (Builders.clique n)
 
 let scenario_of_spec spec =
   let nodes = topo_nodes spec.topology in
@@ -197,14 +210,6 @@ let scenario_of_spec spec =
          "flappers=%d x flaps=%d exceeds the %d-event workload admission cap"
          spec.flappers spec.flaps max_workload_events)
   else
-    let topology =
-      match spec.topology with
-      | Mesh { rows; cols } -> Scenario.Mesh { rows; cols }
-      | Internet { nodes; m } -> Scenario.Internet { nodes; m }
-      | Line n -> Scenario.Custom (Builders.line n)
-      | Ring n -> Scenario.Custom (Builders.ring n)
-      | Clique n -> Scenario.Custom (Builders.clique n)
-    in
     let base =
       {
         Config.default with
@@ -217,10 +222,9 @@ let scenario_of_spec spec =
       match spec.reuse_tick with None -> Config.Exact | Some t -> Config.Tick t
     in
     let config =
-      match spec.damping with
-      | No_damping -> base
-      | Cisco -> Config.with_damping ~mode:spec.mode ~reuse Params.cisco base
-      | Juniper -> Config.with_damping ~mode:spec.mode ~reuse Params.juniper base
+      match damping_params spec.damping with
+      | None -> base
+      | Some params -> Config.with_damping ~mode:spec.mode ~reuse params base
     in
     let workload =
       if spec.flappers = 0 then Scenario.Pulses_only
@@ -238,7 +242,7 @@ let scenario_of_spec spec =
       Scenario.make ~name:"svc" ~policy:spec.policy ~config
         ~isp:(if spec.isp < 0 then `Random else `Node spec.isp)
         ~pulses:spec.pulses ~flap_interval:spec.interval
-        ~background_prefixes:spec.background ~workload topology
+        ~background_prefixes:spec.background ~workload (scenario_topology spec.topology)
     with
     | scenario -> (
         (* Scenario.make checks its own arguments eagerly; validate catches
@@ -249,6 +253,17 @@ let scenario_of_spec spec =
         | Error e -> Error e)
     | exception Invalid_argument msg -> Error msg
     | exception Failure msg -> Error msg
+
+(* The memo shares one materialized graph across requests for the same
+   (seed, topology); it is reset once it holds more than 64 graphs, so a
+   scan of distinct topologies cannot grow it without bound. *)
+let resolve ~memo spec =
+  Result.map
+    (fun scenario ->
+      if Hashtbl.length memo > 64 then Hashtbl.reset memo;
+      let resolved = Sweep.materialize ~memo scenario in
+      (resolved, Journal.job_key resolved ~seed:spec.seed ~pulses:spec.pulses))
+    (scenario_of_spec spec)
 
 (* ------------------------------------------------------------------ *)
 (* Request grammar                                                     *)

@@ -21,7 +21,8 @@ rfd-svc/1 error overloaded {"schema":"rfd-svc/1","code":"overloaded",...} v}
     what makes a cache hit byte-identical to the miss that populated it.
 
     This module is pure (parsing, rendering, and spec-to-scenario
-    elaboration); all I/O lives in {!Server} and {!Client}. *)
+    elaboration) apart from the graph memo {!resolve} fills; all I/O
+    lives in {!Server} and {!Client}. *)
 
 val version : string
 (** ["rfd-svc/1"] — the leading token of every request and response. *)
@@ -30,11 +31,9 @@ val version : string
 
     A query names a scenario by value, mirroring the knobs of
     [rfd-sim run] (minus fault injection, probes and budgets — a served
-    result must be the unbudgeted ground truth). The server elaborates
-    the spec with {!scenario_of_spec}, resolves the topology with
-    {!Rfd_experiment.Sweep.materialize} and keys the result with
-    {!Rfd_experiment.Journal.job_key} — so equal specs always map to
-    equal cache keys, across connections, restarts and machines. *)
+    result must be the unbudgeted ground truth). Daemon and fleet client
+    both key a spec with {!resolve} — so equal specs always map to equal
+    cache keys, across connections, restarts and machines. *)
 
 type topo =
   | Mesh of { rows : int; cols : int }
@@ -93,14 +92,35 @@ val max_workload_events : int
 val topo_to_string : topo -> string
 val topo_of_string : string -> (topo, string) result
 
+val scenario_topology : topo -> Rfd_experiment.Scenario.topology
+(** [Mesh]/[Internet] map to their scenario forms; [line]/[ring]/[clique]
+    are built here as [Custom] graphs. *)
+
+val damping_to_string : damping -> string
+
+val damping_of_string : string -> (damping, string) result
+(** ["cisco"], ["juniper"], and ["none"] or ["off"]. *)
+
+val damping_params : damping -> Rfd_damping.Params.t option
+
 val scenario_of_spec : spec -> (Rfd_experiment.Scenario.t, string) result
 (** Elaborate a spec into the scenario its run would execute, reusing
     {!Rfd_experiment.Scenario.make}'s eager validation (plus the
     {!max_nodes}/{!max_pulses} admission caps): a malformed or abusive
     query is a clean [Error] here, never a crash (or an allocation)
     later. The returned scenario still carries a [Mesh]/[Internet]
-    topology; resolve it with {!Rfd_experiment.Sweep.materialize} before
-    keying. *)
+    topology; {!resolve} materializes and keys it. *)
+
+val resolve :
+  memo:(int * Rfd_experiment.Scenario.topology, Rfd_topology.Graph.t) Hashtbl.t ->
+  spec ->
+  (Rfd_experiment.Scenario.t * string, string) result
+(** The one keying path daemon and fleet client share:
+    {!scenario_of_spec}, then {!Rfd_experiment.Sweep.materialize} through
+    [memo] (reset once it holds more than 64 graphs), then
+    {!Rfd_experiment.Journal.job_key}. Returns the resolved scenario and
+    its key, or the refusal message. Equal specs give equal keys across
+    connections, restarts and machines. Mutates only [memo]. *)
 
 (** {1 Requests} *)
 

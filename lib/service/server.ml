@@ -1,7 +1,6 @@
 module Journal = Rfd_experiment.Journal
 module Runner = Rfd_experiment.Runner
 module Scenario = Rfd_experiment.Scenario
-module Sweep = Rfd_experiment.Sweep
 module Json = Rfd_experiment.Json
 module Supervisor = Rfd_engine.Supervisor
 
@@ -373,20 +372,11 @@ let close_conn t conn =
 let bump t f = with_mu t (fun () -> f t.stats)
 
 let handle_query t conn spec =
-  match Protocol.scenario_of_spec spec with
+  match Protocol.resolve ~memo:t.memo spec with
   | Error msg ->
       bump t (fun s -> s.invalid <- s.invalid + 1);
       respond t conn (refused Protocol.Invalid msg)
-  | Ok scenario -> (
-      (* The memo shares one materialized graph across requests for the
-         same (seed, topology); reset it occasionally so a scan of
-         distinct topologies cannot grow it without bound. *)
-      if Hashtbl.length t.memo > 64 then Hashtbl.reset t.memo;
-      let resolved = Sweep.materialize ~memo:t.memo scenario in
-      let key =
-        Journal.job_key resolved ~seed:spec.Protocol.seed
-          ~pulses:spec.Protocol.pulses
-      in
+  | Ok (resolved, key) -> (
       if
         t.cfg.shard_count > 1
         && (not t.cfg.accept_any)

@@ -306,6 +306,36 @@ let test_custom_topology () =
   in
   Alcotest.(check int) "ring + stub" 6 r.Runner.num_nodes
 
+(* [Runner.base_graph] is what [rfd-sim topo]/[metrics] print and what
+   [Sweep.materialize] substitutes, so it must be the graph the run
+   simulates, minus the origin stub. *)
+let test_base_graph_is_simulated () =
+  let module Graph = Rfd_topology.Graph in
+  List.iter
+    (fun (label, topology) ->
+      let scenario =
+        Scenario.make ~config:{ (fast ()) with Config.seed = 42 } ~isp:`Random topology
+      in
+      let simulated = ref None in
+      let r = Runner.run ~observe:(fun net -> simulated := Some (Network.graph net)) scenario in
+      let base = Runner.base_graph ~seed:42 topology in
+      let with_stub =
+        Graph.add_edges (Graph.add_nodes base 1) [ (r.Runner.isp, r.Runner.origin) ]
+      in
+      Alcotest.(check bool) (label ^ ": base graph + stub = simulated graph") true
+        (Graph.equal with_stub (Option.get !simulated)))
+    [
+      ("internet", Scenario.Internet { nodes = 30; m = 2 });
+      ("mesh", Scenario.Mesh { rows = 4; cols = 3 });
+    ];
+  (* The graph comes from the seed stream's first split, not the stream
+     itself: drawing from the unsplit stream gives another graph. *)
+  let unsplit =
+    Rfd_topology.Random_graphs.barabasi_albert (Rfd_engine.Rng.create 42) ~n:30 ~m:2
+  in
+  Alcotest.(check bool) "unsplit stream draws a different graph" false
+    (Graph.equal unsplit (Runner.base_graph ~seed:42 (Scenario.Internet { nodes = 30; m = 2 })))
+
 let suite =
   [
     Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
@@ -328,4 +358,5 @@ let suite =
     Alcotest.test_case "link-state flap mechanism" `Quick test_link_state_mechanism;
     Alcotest.test_case "background prefixes" `Quick test_background_prefixes;
     Alcotest.test_case "custom topology" `Quick test_custom_topology;
+    Alcotest.test_case "base graph is the simulated graph" `Quick test_base_graph_is_simulated;
   ]
