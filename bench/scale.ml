@@ -49,8 +49,11 @@ let run_point (opts : Context.opts) ~partitions n =
       ~config ~pulses:3
       (Scenario.Internet { nodes = n; m = 2 })
   in
-  let edges = ref 0 in
-  let observe net = edges := Rfd.Graph.num_edges (Rfd.Network.graph net) in
+  (* The simulated graph: the seed's base graph plus the origin stub's link. *)
+  let num_edges =
+    Rfd.Graph.num_edges (Runner.base_graph ~seed:config.Config.seed scenario.Scenario.topology)
+    + 1
+  in
   let result, routes, paths, per_partition_events =
     if partitions <= 1 then begin
       (* The plain engine stays the baseline: its transport RNG streams —
@@ -58,11 +61,7 @@ let run_point (opts : Context.opts) ~partitions n =
          engine, and BENCH_scale.json history is continuous with them. *)
       let table = ref None in
       let result =
-        Runner.run
-          ~observe:(fun net ->
-            table := Some (Rfd.Network.route_table net);
-            observe net)
-          scenario
+        Runner.run ~observe:(fun net -> table := Some (Rfd.Network.route_table net)) scenario
       in
       let routes, paths =
         match !table with
@@ -73,7 +72,7 @@ let run_point (opts : Context.opts) ~partitions n =
       (result, routes, paths, [])
     end
     else begin
-      let result, stats = Runner.run_partitioned ~observe ~partitions scenario in
+      let result, stats = Runner.run_partitioned ~partitions scenario in
       ( result,
         stats.Runner.routes_interned_total,
         stats.Runner.paths_interned_total,
@@ -83,7 +82,7 @@ let run_point (opts : Context.opts) ~partitions n =
   let wall = result.Runner.wall_seconds in
   {
     nodes = n;
-    num_edges = !edges;
+    num_edges;
     partitions = (if partitions <= 1 then 1 else partitions);
     wall_seconds = wall;
     sim_events = result.Runner.sim_events;

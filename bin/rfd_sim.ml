@@ -345,9 +345,17 @@ let run_cmd =
       build_scenario ?faults ?reuse_tick ~table_hint ~background_prefixes:background
         ~workload topology damping mode policy pulses interval mrai seed isp probe
     in
-    let trace = Rfd.Trace.create ~enabled:(transcript <> None) () in
-    let observe net = Rfd.Tracing.attach trace (Rfd.Network.hooks net) in
-    let on_bus hooks = Rfd.Tracing.attach trace hooks in
+    (* The first [n] flap-phase events, newest first; rendered in [tail]. *)
+    let kept = ref [] and room = ref (Option.value transcript ~default:0) in
+    let keep ~time event =
+      if !room > 0 then begin
+        kept := (time, event) :: !kept;
+        decr room
+      end
+    in
+    let subscribe hooks = Rfd.Hooks.subscribe hooks keep in
+    let on_bus = Option.map (fun _ -> subscribe) transcript in
+    let observe = Option.map (fun _ net -> subscribe (Rfd.Network.hooks net)) transcript in
     let head r = Format.printf "%a@.@." Rfd.Runner.pp_result r in
     let tail r =
       Format.printf "phases:@.";
@@ -371,15 +379,15 @@ let run_cmd =
         | None -> r.Rfd.Runner.tup
       in
       Format.printf "@.intended convergence for this flap pattern: %.0f s@." intended;
-      (match transcript with
-      | None -> ()
-      | Some n ->
+      Option.iter
+        (fun n ->
           Format.printf "@.protocol transcript (first %d events):@." n;
-          List.iteri
-            (fun i e -> if i < n then Format.printf "%a@." Rfd.Trace.pp_entry e)
-            (Rfd.Trace.entries trace))
+          List.iter
+            (fun (time, event) -> Format.printf "%a@." (Rfd.Hooks.pp_event ~time) event)
+            (List.rev !kept))
+        transcript
     in
-    simulate ~cmd:"run" ~budget ~observe ~on_bus ~partitions ~print_digest ~head ~tail
+    simulate ~cmd:"run" ~budget ?observe ?on_bus ~partitions ~print_digest ~head ~tail
       scenario
   in
   let doc = "run one flap scenario and report metrics" in

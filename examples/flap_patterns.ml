@@ -43,10 +43,9 @@ let () =
       ~config:{ Rfd.Config.default with Rfd.Config.mrai = 0.; link_jitter = 0. }
       (Rfd.Builders.line 3)
   in
-  let trace = Rfd.Trace.create () in
-  Rfd.Tracing.attach trace (Rfd.Network.hooks net);
+  Format.printf "Protocol transcript of a 3-router line converging:@.";
+  Rfd.Hooks.subscribe (Rfd.Network.hooks net) (fun ~time event ->
+      Format.printf "%a@." (Rfd.Hooks.pp_event ~time) event);
   Rfd.Network.originate net ~node:0 (Rfd.Prefix.v 0);
   Rfd.Network.run net;
-  ignore sim;
-  Format.printf "Protocol transcript of a 3-router line converging:@.";
-  Rfd.Tracing.pp_transcript Format.std_formatter trace
+  ignore sim

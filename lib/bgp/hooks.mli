@@ -2,7 +2,8 @@
 
     The experiment harness observes a running network exclusively through
     these hooks, keeping protocol code free of metrics concerns. All hooks
-    default to no-ops; assign the fields you need. *)
+    default to no-ops; assign the fields you need, or {!subscribe} to the
+    whole stream as typed {!event}s. *)
 
 (** Lifecycle of MRAI machinery: what happened to a (router, peer, prefix)
     pending slot or its flush timer. Pending-queue occupancy changes by +1
@@ -59,3 +60,35 @@ type t = {
 
 val create : unit -> t
 (** All no-ops. *)
+
+(** {1 Typed events}
+
+    One constructor per hook field, carrying that field's arguments. *)
+
+type event =
+  | Send of { src : int; dst : int; update : Update.t }
+  | Deliver of { src : int; dst : int; update : Update.t }
+  | Drop of { src : int; dst : int; update : Update.t }
+  | Duplicate of { src : int; dst : int; update : Update.t }
+  | Suppress of { router : int; peer : int; prefix : Prefix.t }
+  | Reuse of { router : int; peer : int; prefix : Prefix.t; noisy : bool }
+  | Reuse_schedule of { router : int; peer : int; prefix : Prefix.t; at : float }
+  | Penalty of { router : int; peer : int; prefix : Prefix.t; penalty : float }
+  | Best_change of { router : int; prefix : Prefix.t; best : Route.t option }
+  | Mrai of { router : int; peer : int; prefix : Prefix.t; action : mrai_action }
+
+val emit : t -> time:float -> event -> unit
+(** Call the hook field the event belongs to, as if the protocol had
+    raised it at [time]. *)
+
+val subscribe : t -> (time:float -> event -> unit) -> unit
+(** Wrap every hook field so that it first calls the callback installed
+    before, then passes the event to [f]. Subscribers therefore run in
+    subscription order; a later assignment to a field (rather than a
+    subscription) detaches [f] from it. *)
+
+val pp_event : time:float -> Format.formatter -> event -> unit
+(** One transcript line, [[time] topic message], without a newline.
+    Topics: ["send"], ["deliver"], ["drop"], ["duplicate"],
+    ["suppress"], ["reuse"] (releases and timer armings), ["penalty"],
+    ["best"], ["mrai"]. *)

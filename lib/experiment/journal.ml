@@ -8,7 +8,7 @@ let header = "rfd-journal/1"
 (* Scenarios, results and the outcome variants above are closure-free data
    (records, arrays, variants), so Marshal round-trips them exactly —
    float bits included — and serializes equal values to equal bytes, which
-   is what makes both the job key and the payload digest stable across
+   is what makes both the job key and the line digest stable across
    processes of the same build. *)
 let marshal v = Marshal.to_string v []
 
@@ -28,7 +28,6 @@ let of_hex s =
       match c with
       | '0' .. '9' -> Some (Char.code c - Char.code '0')
       | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
       | _ -> None
     in
     let bytes = Bytes.create (n / 2) in
@@ -40,10 +39,13 @@ let of_hex s =
     done;
     if !ok then Some (Bytes.to_string bytes) else None
 
+(* The digest covers the key too, and [of_hex] reads only the lowercase
+   digits [to_hex] writes, so every bit of a line is checked. *)
+let line_digest ~key payload = Digest.to_hex (Digest.string (key ^ " " ^ payload))
+
 let render_line ~key outcome =
   let payload = marshal outcome in
-  let digest = Digest.to_hex (Digest.string payload) in
-  Printf.sprintf "%s %s %s\n" key digest (to_hex payload)
+  Printf.sprintf "%s %s %s\n" key (line_digest ~key payload) (to_hex payload)
 
 type writer = { fd : Unix.file_descr; mutable closed : bool }
 
@@ -83,7 +85,7 @@ let parse_line line =
   match String.split_on_char ' ' line with
   | [ key; digest; hex ] -> (
       match of_hex hex with
-      | Some payload when Digest.to_hex (Digest.string payload) = digest -> (
+      | Some payload when line_digest ~key payload = digest -> (
           match (Marshal.from_string payload 0 : outcome) with
           | outcome -> Some (key, outcome)
           | exception _ -> None)

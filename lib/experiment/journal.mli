@@ -6,11 +6,13 @@
     then one line per job that reached a {e terminal} outcome —
 
     {v rfd-journal/1
-<job key> <payload digest> <hex payload> v}
+<job key> <line digest> <hex payload> v}
 
     where the job key is {!job_key} (the MD5 of the job's fully resolved
     scenario × seed × pulse count), the payload is the marshalled
-    {!outcome} and the digest is the MD5 of the payload bytes. Every
+    {!outcome} and the digest is the MD5 of the key, a space and the
+    payload bytes, written in lowercase hex like the payload. A flipped
+    bit anywhere in a line therefore fails verification. Every
     append is [fsync]'d before {!append} returns, so a line either exists
     completely or not at all as far as a resumed process is concerned; a
     SIGKILL can at worst leave one truncated final line, which {!load}

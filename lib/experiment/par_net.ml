@@ -90,7 +90,6 @@ let partitions t = t.parts
 let graph t = t.graph
 let part_of t node = t.part_of.(node)
 let cut_edges t = Graph.cut_edges t.graph t.part_of
-let iter_nets t f = Array.iter f t.nets
 
 (* Reported event count: every partition executed each broadcast
    administrative event once, but the single-domain run executes it exactly

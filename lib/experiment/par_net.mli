@@ -46,8 +46,8 @@ val flush : t -> unit
 
 val bus : t -> Rfd_bgp.Hooks.t
 (** The canonical replay bus: events from all partitions, sorted by
-    (time, owner router, per-owner sequence). Attach {!Collector} /
-    {!Tracing} here. *)
+    (time, owner router, per-owner sequence). Attach {!Collector} and
+    {!Rfd_bgp.Hooks.subscribe} observers here. *)
 
 val partitions : t -> int
 val graph : t -> Rfd_topology.Graph.t
@@ -57,10 +57,6 @@ val part_of : t -> int -> int
 
 val cut_edges : t -> int
 (** Undirected topology edges whose endpoints live in different partitions. *)
-
-val iter_nets : t -> (Rfd_bgp.Network.t -> unit) -> unit
-(** Iterate the per-partition networks in partition order (introspection —
-    e.g. summing interning-table sizes). *)
 
 (** {1 Events and clocks} *)
 

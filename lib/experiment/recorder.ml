@@ -7,7 +7,7 @@
    in the same relative order under any partitioning (that is the epoch
    engine's guarantee), so its per-owner sequence numbers are too, and
    cross-owner ties at equal times are broken by the owner id. Observers
-   (Collector, Tracing) attached to the bus therefore see one
+   (Collector, subscribers) attached to the bus therefore see one
    deterministic stream regardless of the partition count.
 
    Ownership of an event follows where it executes: a send (and its
@@ -17,19 +17,7 @@
 
 open Rfd_bgp
 
-type payload =
-  | Send of { src : int; dst : int; update : Update.t }
-  | Deliver of { src : int; dst : int; update : Update.t }
-  | Drop of { src : int; dst : int; update : Update.t }
-  | Duplicate of { src : int; dst : int; update : Update.t }
-  | Suppress of { router : int; peer : int; prefix : Prefix.t }
-  | Reuse of { router : int; peer : int; prefix : Prefix.t; noisy : bool }
-  | Reuse_schedule of { router : int; peer : int; prefix : Prefix.t; at : float }
-  | Penalty of { router : int; peer : int; prefix : Prefix.t; penalty : float }
-  | Best_change of { router : int; prefix : Prefix.t; best : Route.t option }
-  | Mrai of { router : int; peer : int; prefix : Prefix.t; action : Hooks.mrai_action }
-
-type record = { time : float; owner : int; seq : int; payload : payload }
+type record = { time : float; owner : int; seq : int; event : Hooks.event }
 
 type t = { mutable rev : record list; seqs : int array (* next seq per owner *) }
 
@@ -37,60 +25,29 @@ let create ~nodes =
   if nodes < 1 then invalid_arg "Recorder.create: nodes must be >= 1";
   { rev = []; seqs = Array.make nodes 0 }
 
-let push t ~time ~owner payload =
+let owner : Hooks.event -> int = function
+  | Send { src; _ } | Drop { src; _ } | Duplicate { src; _ } -> src
+  | Deliver { dst; _ } -> dst
+  | Suppress { router; _ }
+  | Reuse { router; _ }
+  | Reuse_schedule { router; _ }
+  | Penalty { router; _ }
+  | Best_change { router; _ }
+  | Mrai { router; _ } ->
+      router
+
+let push t ~time event =
+  let owner = owner event in
   let seq = t.seqs.(owner) in
   t.seqs.(owner) <- seq + 1;
-  t.rev <- { time; owner; seq; payload } :: t.rev
+  t.rev <- { time; owner; seq; event } :: t.rev
 
-let attach t (hooks : Hooks.t) =
-  hooks.Hooks.on_send <-
-    (fun ~time ~src ~dst update -> push t ~time ~owner:src (Send { src; dst; update }));
-  hooks.Hooks.on_deliver <-
-    (fun ~time ~src ~dst update -> push t ~time ~owner:dst (Deliver { src; dst; update }));
-  hooks.Hooks.on_drop <-
-    (fun ~time ~src ~dst update -> push t ~time ~owner:src (Drop { src; dst; update }));
-  hooks.Hooks.on_duplicate <-
-    (fun ~time ~src ~dst update -> push t ~time ~owner:src (Duplicate { src; dst; update }));
-  hooks.Hooks.on_suppress <-
-    (fun ~time ~router ~peer ~prefix ->
-      push t ~time ~owner:router (Suppress { router; peer; prefix }));
-  hooks.Hooks.on_reuse <-
-    (fun ~time ~router ~peer ~prefix ~noisy ->
-      push t ~time ~owner:router (Reuse { router; peer; prefix; noisy }));
-  hooks.Hooks.on_reuse_schedule <-
-    (fun ~time ~router ~peer ~prefix ~at ->
-      push t ~time ~owner:router (Reuse_schedule { router; peer; prefix; at }));
-  hooks.Hooks.on_penalty <-
-    (fun ~time ~router ~peer ~prefix ~penalty ->
-      push t ~time ~owner:router (Penalty { router; peer; prefix; penalty }));
-  hooks.Hooks.on_best_change <-
-    (fun ~time ~router ~prefix ~best -> push t ~time ~owner:router (Best_change { router; prefix; best }));
-  hooks.Hooks.on_mrai <-
-    (fun ~time ~router ~peer ~prefix action ->
-      push t ~time ~owner:router (Mrai { router; peer; prefix; action }))
+let attach t hooks = Hooks.subscribe hooks (push t)
 
 let compare_record a b =
   match Float.compare a.time b.time with
   | 0 -> ( match Int.compare a.owner b.owner with 0 -> Int.compare a.seq b.seq | c -> c)
   | c -> c
-
-let replay_one (hooks : Hooks.t) r =
-  let time = r.time in
-  match r.payload with
-  | Send { src; dst; update } -> hooks.Hooks.on_send ~time ~src ~dst update
-  | Deliver { src; dst; update } -> hooks.Hooks.on_deliver ~time ~src ~dst update
-  | Drop { src; dst; update } -> hooks.Hooks.on_drop ~time ~src ~dst update
-  | Duplicate { src; dst; update } -> hooks.Hooks.on_duplicate ~time ~src ~dst update
-  | Suppress { router; peer; prefix } -> hooks.Hooks.on_suppress ~time ~router ~peer ~prefix
-  | Reuse { router; peer; prefix; noisy } ->
-      hooks.Hooks.on_reuse ~time ~router ~peer ~prefix ~noisy
-  | Reuse_schedule { router; peer; prefix; at } ->
-      hooks.Hooks.on_reuse_schedule ~time ~router ~peer ~prefix ~at
-  | Penalty { router; peer; prefix; penalty } ->
-      hooks.Hooks.on_penalty ~time ~router ~peer ~prefix ~penalty
-  | Best_change { router; prefix; best } -> hooks.Hooks.on_best_change ~time ~router ~prefix ~best
-  | Mrai { router; peer; prefix; action } ->
-      hooks.Hooks.on_mrai ~time ~router ~peer ~prefix action
 
 let pending t = List.length t.rev
 
@@ -108,4 +65,7 @@ let drain_replay recorders bus =
   in
   match records with
   | [] -> ()
-  | records -> List.iter (replay_one bus) (List.stable_sort compare_record records)
+  | records ->
+      List.iter
+        (fun r -> Hooks.emit bus ~time:r.time r.event)
+        (List.stable_sort compare_record records)

@@ -361,7 +361,7 @@ type par_stats = {
    The two deliberate differences from [run] are documented on {!Par_net}:
    per-directed-link transport RNG streams and the barrier-granular budget
    check. *)
-let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario =
+let run_partitioned ?(budget = no_budget) ?on_bus ~partitions scenario =
   script ~caller:"Runner.run_partitioned" ~budget scenario @@ fun ~policy graph k ->
   if partitions < 1 then invalid_arg "Runner.run_partitioned: partitions must be >= 1";
   let par = Par_net.create ~policy ~config:scenario.Scenario.config ~partitions graph in
@@ -376,10 +376,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
             let now = Par_net.now par in
             Par_net.advance_all par ~time:now;
             now);
-        observe =
-          (fun () ->
-            Option.iter (fun f -> f (Par_net.bus par)) on_bus;
-            Option.iter (Par_net.iter_nets par) observe);
+        observe = (fun () -> Option.iter (fun f -> f (Par_net.bus par)) on_bus);
         originate = Par_net.originate par;
         schedule_originate = Par_net.schedule_originate par;
         schedule_withdraw = Par_net.schedule_withdraw par;

@@ -109,10 +109,11 @@ val run : ?budget:budget -> ?observe:(Rfd_bgp.Network.t -> unit) -> Scenario.t -
     its time origin, and so is its workload trace (replayed or generated
     multi-origin churn; prefixes opening with a withdrawal are
     pre-originated during the settle phase, and [final_announcement]
-    covers the later of the pulse train and the trace). [observe] is called once, after initial convergence
-    and right after the flap-phase collector is attached — wrap additional
-    observers (e.g. {!Tracing.attach}) around the hooks there; they stay
-    active for the whole measured flap phase. *)
+    covers the later of the pulse train and the trace). [observe] is
+    called once, after initial convergence and right after the flap-phase
+    collector is attached — {!Rfd_bgp.Hooks.subscribe} additional observers
+    to the network's hooks there; they stay active for the whole measured
+    flap phase. *)
 
 val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
@@ -158,17 +159,15 @@ type par_stats = {
 
 val run_partitioned :
   ?budget:budget ->
-  ?observe:(Rfd_bgp.Network.t -> unit) ->
   ?on_bus:(Rfd_bgp.Hooks.t -> unit) ->
   partitions:int ->
   Scenario.t ->
   result * par_stats
-(** The phase script of {!run} on a partitioned ensemble. [observe] is
-    called once per partition network (introspection of tables/graphs);
-    [on_bus] is called once with the canonical replay bus — attach
-    {!Tracing} and other event observers there, right where [run]'s
-    [observe] would wrap the network hooks. Budget limits are checked at epoch barriers, so a
-    tripped budget can overshoot by up to one epoch (identically for every
+(** The phase script of {!run} on a partitioned ensemble. [on_bus] is
+    called once with the canonical replay bus, right where [run]'s
+    [observe] is called — {!Rfd_bgp.Hooks.subscribe} event observers
+    there. Budget limits are checked at epoch barriers, so a tripped
+    budget can overshoot by up to one epoch (identically for every
     partition count). Raises [Invalid_argument] when the scenario fails
     validation or [partitions < 1]. *)
 

@@ -5,6 +5,11 @@
     Lines starting with ['#'] and blank lines are ignored. Node count is
     [1 + max node id] unless a [# nodes: N] header raises it. *)
 
+val max_nodes : int
+(** Largest node count a document may declare or imply (1,000,000): a
+    larger header, or a node id [>= max_nodes], is a line-numbered
+    error. *)
+
 val parse : string -> (Relations.t, string) result
 (** Parse a document. Errors carry a 1-based line number and reason. *)
 

@@ -62,6 +62,24 @@ let test_empty_document () =
   let g = ok (Edge_list.parse_graph "") in
   Alcotest.(check int) "no nodes" 0 (Graph.num_nodes g)
 
+(* Node ids and headers are bounded: a few bytes must not size a graph of
+   a billion nodes. The largest allowed id is still accepted. *)
+let test_oversized_id () =
+  Alcotest.(check string) "id beyond the limit"
+    "line 2: node id 1000000000 exceeds the limit of 1000000 nodes"
+    (err (Edge_list.parse_graph "0 1\n1000000000 1\n"));
+  Alcotest.(check string) "labelled form too"
+    "line 1: node id 1000000 exceeds the limit of 1000000 nodes"
+    (err (Edge_list.parse "3 1000000 c2p\n"));
+  let g = ok (Edge_list.parse_graph (Printf.sprintf "0 %d\n" (Edge_list.max_nodes - 1))) in
+  Alcotest.(check int) "largest id accepted" Edge_list.max_nodes (Graph.num_nodes g)
+
+let test_oversized_header () =
+  Alcotest.(check string) "header beyond the limit"
+    "line 3: node-count header 1000001 exceeds the limit of 1000000 nodes"
+    (err (Edge_list.parse_graph "0 1\n# comment\n# nodes: 1000001\n"));
+  ignore (err (Edge_list.parse "# nodes: 4611686018427387903\n0 1\n"))
+
 let suite =
   [
     Alcotest.test_case "parse plain edges" `Quick test_parse_plain;
@@ -73,4 +91,6 @@ let suite =
     Alcotest.test_case "round trip" `Quick test_round_trip;
     Alcotest.test_case "print graph" `Quick test_print_graph;
     Alcotest.test_case "empty document" `Quick test_empty_document;
+    Alcotest.test_case "oversized node id" `Quick test_oversized_id;
+    Alcotest.test_case "oversized header" `Quick test_oversized_header;
   ]
