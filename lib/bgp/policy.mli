@@ -20,10 +20,14 @@ type t
 val name : t -> string
 
 val import_preference : t -> me:int -> from_peer:int -> route:Route.t -> int
-(** Higher wins in path selection; ties fall to AS-path length. *)
+(** Higher wins in path selection; ties fall to AS-path length. Must be a
+    pure function of its arguments: the router's incremental decision
+    process recomputes the Loc-RIB winner's preference instead of storing
+    it, and compares one changed route against it. *)
 
 val export_allowed : t -> me:int -> learned_from:int option -> to_peer:int -> route:Route.t -> bool
-(** [learned_from = None] means the route is originated by [me]. *)
+(** [learned_from = None] means the route is originated by [me]. Must be a
+    pure function of its arguments, like {!import_preference}. *)
 
 val announce_all : t
 
@@ -34,4 +38,7 @@ val custom :
   import_preference:(me:int -> from_peer:int -> route:Route.t -> int) ->
   export_allowed:(me:int -> learned_from:int option -> to_peer:int -> route:Route.t -> bool) ->
   t
-(** Escape hatch for experiments with bespoke policies. *)
+(** Escape hatch for experiments with bespoke policies. Both functions must
+    be pure: a result that depends on anything but the arguments (time,
+    counters, mutable tables) would let the cached Loc-RIB drift from what
+    a full scan selects. *)

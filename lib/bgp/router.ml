@@ -125,20 +125,19 @@ let damping_params t = t.damping
 (* Peer sessions live in a dense array sorted by peer id: lookups are an
    O(log degree) binary search and the decision process iterates the array
    directly (ascending, as the id tie-break requires) — no hashing, no
-   per-peer boxing beyond the session record itself. *)
-let find_peer t peer =
-  let peers = t.peers in
-  let rec search lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let ps = peers.(mid) in
-      if ps.peer_id = peer then Some ps
-      else if ps.peer_id < peer then search (mid + 1) hi
-      else search lo (mid - 1)
-    end
-  in
-  search 0 (Array.length peers - 1)
+   per-peer boxing beyond the session record itself. The search is a
+   top-level function so a lookup allocates nothing but its result. *)
+let rec search_peer peers peer lo hi =
+  if lo > hi then None
+  else begin
+    let mid = (lo + hi) / 2 in
+    let ps = peers.(mid) in
+    if ps.peer_id = peer then Some ps
+    else if ps.peer_id < peer then search_peer peers peer (mid + 1) hi
+    else search_peer peers peer lo (mid - 1)
+  end
+
+let find_peer t peer = search_peer t.peers peer 0 (Array.length t.peers - 1)
 
 let connect t ~peer ~send =
   if peer = t.id then invalid_arg "Router.connect: cannot peer with self";
@@ -204,38 +203,74 @@ let better_candidate ~pref_a ~len_a ~peer_a ~pref_b ~len_b ~peer_b =
   pref_a > pref_b
   || (pref_a = pref_b && (len_a < len_b || (len_a = len_b && peer_a < peer_b)))
 
+(* The route [ps] offers for [prefix] if the decision process may use it:
+   session up, not withdrawn, not suppressed. Returns the entry's own
+   option, so the check allocates nothing. *)
+let candidate ps prefix =
+  if not ps.up then None
+  else
+    match Prefix_table.find_opt ps.rib_in prefix with
+    | Some { route = Some _ as route; damper = Some damper; _ } ->
+        if Damper.suppressed damper then None else route
+    | Some { route; damper = None; _ } -> route
+    | Some { route = None; _ } | None -> None
+
+let preference t peer route = Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route
+
+(* The one full scan: rank every peer's candidate. *)
 let compute_best t prefix =
   if Prefix_table.mem t.originated prefix then Some (None, self_route t prefix)
   else begin
     let best = ref None in
     Array.iter
       (fun ps ->
-        let peer = ps.peer_id in
-        if ps.up then
-          match Prefix_table.find_opt ps.rib_in prefix with
-          | Some ({ route = Some route; _ } as entry) ->
-              let usable =
-                match entry.damper with
-                | Some damper -> not (Damper.suppressed damper)
-                | None -> true
-              in
-              if usable then begin
-                let pref =
-                  Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route
-                in
-                let len = Route.path_length route in
-                match !best with
-                | None -> best := Some (peer, route, pref, len)
-                | Some (bp, _, bpref, blen) ->
-                    if
-                      better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:bpref
-                        ~len_b:blen ~peer_b:bp
-                    then best := Some (peer, route, pref, len)
-              end
-          | Some { route = None; _ } | None -> ())
+        match candidate ps prefix with
+        | None -> ()
+        | Some route -> (
+            let peer = ps.peer_id in
+            let pref = preference t peer route in
+            let len = Route.path_length route in
+            match !best with
+            | None -> best := Some (peer, route, pref, len)
+            | Some (bp, _, bpref, blen) ->
+                if
+                  better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:bpref ~len_b:blen
+                    ~peer_b:bp
+                then best := Some (peer, route, pref, len)))
       t.peers;
     match !best with None -> None | Some (peer, route, _, _) -> Some (Some peer, route)
   end
+
+(* Incremental selection after [ps]'s candidate for [prefix] changed and no
+   other peer's did. Every other candidate still ranks below the Loc-RIB
+   winner, so the new best is the better of the winner and [ps] — unless
+   [ps] was the winner and got worse or went away, when only the full scan
+   can find the runner-up. The ranking is a strict total order, so this
+   picks exactly what [compute_best] would. *)
+let select t ps prefix old_best =
+  let peer = ps.peer_id in
+  match (old_best, candidate ps prefix) with
+  | Some (None, _), _ ->
+      (* Self-originated: the self route wins whatever peers offer. Only
+         [originate] and [withdraw_prefix] change that, and they rescan. *)
+      old_best
+  | None, None -> None
+  | None, Some route -> Some (Some peer, route)
+  | Some (Some winner, _), None -> if winner = peer then compute_best t prefix else old_best
+  | Some (Some winner, wroute), Some route ->
+      let pref = preference t peer route and len = Route.path_length route in
+      let wpref = preference t winner wroute and wlen = Route.path_length wroute in
+      if winner = peer then
+        if
+          better_candidate ~pref_a:wpref ~len_a:wlen ~peer_a:peer ~pref_b:pref ~len_b:len
+            ~peer_b:peer
+        then compute_best t prefix
+        else Some (Some peer, route)
+      else if
+        better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:wpref ~len_b:wlen
+          ~peer_b:winner
+      then Some (Some peer, route)
+      else old_best
 
 let best_equal a b =
   match (a, b) with
@@ -344,11 +379,9 @@ and flush t ps prefix =
         mrai_hook t ps prefix Hooks.Mrai_sent;
         ignore (emit t ps prefix desired rc)
 
-(* Run the decision process for [prefix]; on a best-path change, reconcile
-   every peer. Returns the number of updates sent or queued. *)
-let decision t prefix ~trigger_rc =
-  let old_best = Prefix_table.find_opt t.loc_rib prefix in
-  let new_best = compute_best t prefix in
+(* Install [new_best] as the Loc-RIB entry for [prefix]; on a change,
+   reconcile every peer. Returns the number of updates sent or queued. *)
+let install t prefix ~trigger_rc old_best new_best =
   if best_equal old_best new_best then 0
   else begin
     (match new_best with
@@ -357,25 +390,43 @@ let decision t prefix ~trigger_rc =
     t.hooks.Hooks.on_best_change ~time:(Sim.now t.sim) ~router:t.id ~prefix
       ~best:(Option.map snd new_best);
     let emitted = ref 0 in
-    Array.iter
-      (fun ps ->
-        let peer = ps.peer_id in
-        if ps.up then begin
-          let desired =
-            match new_best with
-            | None -> D_withdraw
-            | Some (learned_from, route) ->
-                if
-                  Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer:peer ~route
-                  && not (As_path.contains (Route.path route) peer)
-                then D_announce (Route.prepend_interned t.table t.id route)
-                else D_withdraw
-          in
-          emitted := !emitted + emit t ps prefix desired trigger_rc
-        end)
-      t.peers;
+    (* The announcement carries this router's AS prepended; it is built
+       (and its path interned) at the first peer that gets it, never for an
+       all-withdraw export, so intern ids are assigned in a fixed order. *)
+    let announce = ref D_withdraw in
+    for i = 0 to Array.length t.peers - 1 do
+      let ps = t.peers.(i) in
+      let peer = ps.peer_id in
+      if ps.up then begin
+        let desired =
+          match new_best with
+          | None -> D_withdraw
+          | Some (learned_from, route) ->
+              if
+                Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer:peer ~route
+                && not (As_path.contains (Route.path route) peer)
+              then begin
+                (match !announce with
+                | D_announce _ -> ()
+                | D_withdraw -> announce := D_announce (Route.prepend_interned t.table t.id route));
+                !announce
+              end
+              else D_withdraw
+        in
+        emitted := !emitted + emit t ps prefix desired trigger_rc
+      end
+    done;
     !emitted
   end
+
+(* Run the decision process for [prefix] after [ps]'s candidate changed. *)
+let decision t ps prefix ~trigger_rc =
+  let old_best = Prefix_table.find_opt t.loc_rib prefix in
+  install t prefix ~trigger_rc old_best (select t ps prefix old_best)
+
+(* Origination changes no peer's candidate: rescan. *)
+let rescan t prefix ~trigger_rc =
+  install t prefix ~trigger_rc (Prefix_table.find_opt t.loc_rib prefix) (compute_best t prefix)
 
 (* ------------------------------------------------------------------ *)
 (* Damping                                                             *)
@@ -401,7 +452,7 @@ let rec reuse_fire t ps prefix entry =
           ignore
             (Sim.schedule_at t.sim ~time:(time +. 1e-6) (fun _ -> reuse_fire t ps prefix entry))
       | `Reused ->
-          let emitted = decision t prefix ~trigger_rc:entry.last_rc in
+          let emitted = decision t ps prefix ~trigger_rc:entry.last_rc in
           t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
             ~noisy:(emitted > 0))
   | Some _ | None -> ()
@@ -456,7 +507,7 @@ and wheel_fire t w slot =
                   wheel_park t w ps prefix entry
                     ~slot:(max (slot + 1) (wheel_slot_after w time))
               | `Reused ->
-                  let emitted = decision t prefix ~trigger_rc:entry.last_rc in
+                  let emitted = decision t ps prefix ~trigger_rc:entry.last_rc in
                   t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
                     ~noisy:(emitted > 0))
           | Some _ | None -> ())
@@ -570,7 +621,7 @@ let handle_withdraw t ps prefix ~rc ~count =
       entry.route <- None;
       entry.last_rc <- rc;
       apply_damping t ps prefix entry (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
-      ignore (decision t prefix ~trigger_rc:rc)
+      ignore (decision t ps prefix ~trigger_rc:rc)
   | Some { route = None; _ } | None ->
       (* Spurious withdrawal: no state change, no penalty (RFC 2439). *)
       ()
@@ -591,7 +642,7 @@ let handle_announce t ps route ~rc ~rel_pref ~count =
   | `First ->
       entry.route <- Some route;
       entry.last_rc <- rc;
-      ignore (decision t prefix ~trigger_rc:rc)
+      ignore (decision t ps prefix ~trigger_rc:rc)
   | `Event event ->
       entry.route <- Some route;
       entry.last_rc <- rc;
@@ -606,7 +657,7 @@ let handle_announce t ps route ~rc ~rel_pref ~count =
         | _ -> true
       in
       apply_damping t ps prefix entry (damping_event t ~rc ~local:event) ~count;
-      ignore (decision t prefix ~trigger_rc:rc)
+      ignore (decision t ps prefix ~trigger_rc:rc)
 
 let receive t ~from_peer update =
   let ps = peer_state t from_peer in
@@ -629,14 +680,14 @@ let originate t prefix =
   if not (Prefix_table.mem t.originated prefix) then begin
     Prefix_table.set t.originated prefix ();
     let rc = fresh_rc t ~status:Root_cause.Link_up in
-    ignore (decision t prefix ~trigger_rc:(Some rc))
+    ignore (rescan t prefix ~trigger_rc:(Some rc))
   end
 
 let withdraw_prefix t prefix =
   if Prefix_table.mem t.originated prefix then begin
     Prefix_table.remove t.originated prefix;
     let rc = fresh_rc t ~status:Root_cause.Link_down in
-    ignore (decision t prefix ~trigger_rc:(Some rc))
+    ignore (rescan t prefix ~trigger_rc:(Some rc))
   end
 
 let originates t prefix = Prefix_table.mem t.originated prefix
@@ -685,7 +736,7 @@ let peer_down t ~peer =
         entry.route <- None;
         entry.last_rc <- Some rc;
         apply_damping t ps prefix entry Damper.Withdrawal ~count:true;
-        ignore (decision t prefix ~trigger_rc:(Some rc)))
+        ignore (decision t ps prefix ~trigger_rc:(Some rc)))
       (List.sort Prefix.compare affected)
   end
 

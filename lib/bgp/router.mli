@@ -7,7 +7,10 @@
 
     Protocol behaviour implemented here:
     - decision process: import preference (policy), then shortest AS path,
-      then lowest peer id; self-originated routes always win;
+      then lowest peer id; self-originated routes always win. It is
+      incremental: a change to one peer's route is compared with the
+      current Loc-RIB winner only, and the full scan over every peer runs
+      only when the winner gets worse or disappears, and on origination;
     - sender-side AS-loop avoidance and receiver-side loop detection;
     - MRAI rate limiting of announcements (per peer and prefix, jittered),
       with withdrawals exempt unless configured otherwise;
@@ -112,8 +115,10 @@ val known_prefixes : t -> Prefix.t list
 (** Prefixes present in Loc-RIB or any RIB-In, ascending, deduplicated. *)
 
 val recompute_best : t -> Prefix.t -> Route.t option
-(** What the decision process would select right now (ignoring the cached
-    Loc-RIB) — used by convergence checks. *)
+(** What a full scan of every peer's route would select right now,
+    ignoring the cached Loc-RIB. It is the reference the incremental
+    decision process is checked against: the convergence oracle's Loc-RIB
+    fixpoint ({!Network.rib_fixpoint}) compares {!best} with it. *)
 
 (** {1 Convergence-oracle introspection}
 

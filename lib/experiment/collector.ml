@@ -127,9 +127,11 @@ let attach t (hooks : Hooks.t) =
   hooks.Hooks.on_penalty <-
     (fun ~time ~router ~peer ~prefix:_ ~penalty ->
       if penalty > t.peak_penalty then t.peak_penalty <- penalty;
-      match Hashtbl.find_opt t.probes (router, peer) with
-      | Some series -> Timeseries.add series ~time penalty
-      | None -> ())
+      (* Most runs probe nothing: skip the tuple key and its hashing. *)
+      if Hashtbl.length t.probes > 0 then
+        match Hashtbl.find_opt t.probes (router, peer) with
+        | Some series -> Timeseries.add series ~time penalty
+        | None -> ())
 
 let update_count t = t.updates
 let dropped_updates t = t.dropped
