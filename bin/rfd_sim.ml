@@ -6,164 +6,136 @@
      replay    — drive a recorded rfd-trace/1 update trace as the workload
      trace-gen — synthesize a heavy-tailed multi-origin flap trace
      intended  — the analytic (Section 3) calculation only
-     topo      — generate a topology and print it as an edge list *)
+     topo      — generate a topology and print it as an edge list
+     metrics   — structural metrics of a topology
+     query     — ask an rfd-simd daemon (or sharded fleet) for a result
+     journal-compact — rewrite or check a sweep/daemon journal
+
+   The scenario flags of every command parse into one [Svc_protocol.spec];
+   run, sweep and replay build their scenario with [Svc_protocol.elaborate]. *)
 
 open Cmdliner
 module Scenario = Rfd.Scenario
-module Config = Rfd.Config
 module Params = Rfd.Params
 
 (* ------------------------------------------------------------------ *)
-(* Shared argument parsing                                             *)
+(* Scenario flags                                                      *)
 
 module Svc = Rfd.Svc_protocol
 
-let svc_topo_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.topo_of_string s)),
-      fun ppf t -> Format.pp_print_string ppf (Svc.topo_to_string t) )
+(* One row per rfd-svc/1 spec field: its wire key and its flag. Every
+   value is parsed by the protocol's own field parser and every unset
+   flag keeps its [Svc.default_spec] value, so the grammar and the
+   defaults live in Svc_protocol alone. *)
+type flag = { key : string; names : string list; docv : string; doc : string }
 
-(* Every form but an edge-list file is the rfd-svc/1 topology grammar. *)
-let topology_conv =
-  let parse s =
-    if (not (String.contains s ':')) && Sys.file_exists s then
-      let doc = In_channel.with_open_bin s In_channel.input_all in
-      match Rfd.Edge_list.parse_graph doc with
-      | Ok g -> Ok (Scenario.Custom g)
-      | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))
-    else Result.map Svc.scenario_topology (Arg.conv_parser svc_topo_conv s)
+let flags =
+  let row ?(docv = "VAL") key names doc = { key; names; docv; doc } in
+  [
+    row "topology" [ "t"; "topology" ]
+      "Topology: mesh:RxC, internet:N[,M] (Barabasi-Albert), line:N, ring:N or clique:N.";
+    row "damping" [ "d"; "damping" ] "Damping parameters: cisco, juniper or none.";
+    row "mode" [ "m"; "mode" ] "Damping mode: plain, rcn or selective.";
+    row "policy" [ "p"; "policy" ] "Routing policy: shortest or no-valley.";
+    row "pulses" [ "n"; "pulses" ] "Number of withdrawal/announcement pulses.";
+    row "interval" [ "i"; "interval" ] "Flap interval in seconds.";
+    row "mrai" [ "mrai" ] "MRAI in seconds (0 disables).";
+    row "seed" [ "s"; "seed" ] "Random seed.";
+    row "isp" [ "isp" ] "Node the flapping origin attaches to (-1 = random).";
+    row "table-hint" [ "table-hint" ] ~docv:"N"
+      "Initial bucket-count hint for each per-peer prefix-keyed router table \
+       (RIB-In, RIB-Out, MRAI deadlines, pending, flush timers). Lower it to 1-2 \
+       for Internet-scale single-origin runs so tens of thousands of low-degree \
+       routers don't pay fixed table overhead per session.";
+    row "reuse-tick" [ "reuse-tick" ] ~docv:"SECONDS"
+      "Schedule reuse timers on an RFC 2439 reuse-list tick wheel with this tick \
+       period (seconds) instead of one exact timer per suppressed route. Reuse then \
+       happens at the first tick boundary at or after the exact reuse instant.";
+    row "background" [ "background" ] ~docv:"N"
+      "Announce $(docv) steady background prefixes (one per seeded-random \
+       origin router) before the flap phase, so damping acts on a loaded RIB.";
+    row "flappers" [ "background-flappers" ] ~docv:"N"
+      "Add $(docv) background flapper prefixes — extra origins that keep \
+       withdrawing and re-announcing concurrently with the measured flap, with \
+       heavy-tailed (Pareto) inter-flap gaps. 0 disables the workload.";
+    row "flaps" [ "flaps" ] ~docv:"N"
+      "Withdraw/announce pairs each background flapper performs.";
+    row "flap-gap" [ "flap-gap" ] ~docv:"SECONDS"
+      "Mean gap (seconds) between a background flapper's events.";
+    row "flap-alpha" [ "flap-alpha" ] ~docv:"ALPHA"
+      "Pareto tail exponent of the inter-flap gaps (smaller = heavier tail; must be \
+       positive).";
+    row "flap-seed" [ "flap-seed" ] ~docv:"SEED"
+      "Seed of the background-flapper workload (independent of --seed).";
+  ]
+
+let flag key = List.find (fun f -> f.key = key) flags
+
+(* What a command's scenario flags parse into: the spec, and the graph of
+   an edge-list file given as the topology (local commands only). *)
+type parsed = { spec : Svc.spec; edge_list : Rfd.Graph.t option }
+
+(* [spec_term rows]: a term over the flags of [rows], starting from
+   [base]. With [~edge_list:true] a topology value without a ':' that
+   names an existing file is read as an edge list. *)
+let spec_term ?(edge_list = false) ?(base = Svc.default_spec) rows =
+  let defaults = Svc.field_values base in
+  let arg { key; names; docv; doc } =
+    let file = edge_list && key = "topology" in
+    let parse s =
+      if file && (not (String.contains s ':')) && Sys.file_exists s then
+        match In_channel.with_open_bin s In_channel.input_all |> Rfd.Edge_list.parse_graph with
+        | Ok g -> Ok (s, fun p -> { p with edge_list = Some g })
+        | Error e -> Error ("parse error in " ^ s ^ ": " ^ e)
+        | exception Sys_error e -> Error (s ^ ": " ^ e)
+      else
+        Svc.parse_field key s
+        |> Result.map (fun set -> (s, fun p -> { p with spec = set p.spec }))
+    in
+    let doc = if file then doc ^ " An edge-list file also works." else doc in
+    let field = Arg.conv' (parse, fun ppf (s, _) -> Format.pp_print_string ppf s) in
+    let none = List.assoc key defaults in
+    Arg.(value & opt (some ~none field) None & info names ~docv ~doc)
   in
-  let print ppf = function
-    | Scenario.Mesh { rows; cols } -> Format.fprintf ppf "mesh:%dx%d" rows cols
-    | Scenario.Internet { nodes; m } -> Format.fprintf ppf "internet:%d,%d" nodes m
-    | Scenario.Custom g -> Format.fprintf ppf "custom(%a)" Rfd.Graph.pp g
-  in
-  Arg.conv (parse, print)
+  let apply value p = Option.fold ~none:p ~some:(fun (_, set) -> set p) value in
+  List.fold_left
+    (fun acc row -> Term.(const apply $ arg row $ acc))
+    (Term.const { spec = base; edge_list = None })
+    rows
 
-let damping_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.damping_of_string s)),
-      fun ppf d -> Format.pp_print_string ppf (Svc.damping_to_string d) )
+let exit_crashed = 1
+let exit_degraded = 2
 
-let params_conv =
-  let parse s = Result.map Svc.damping_params (Arg.conv_parser damping_conv s) in
-  let print ppf = function
-    | Some (p : Params.t) -> Format.pp_print_string ppf p.Params.name
-    | None -> Format.pp_print_string ppf "none"
-  in
-  Arg.conv (parse, print)
+(* Every error exit: one line on stderr, then [code]. *)
+let fail ?(code = exit_crashed) ~cmd msg =
+  Format.eprintf "rfd-sim %s: %s@." cmd msg;
+  exit code
 
-let mode_conv =
-  Arg.enum [ ("plain", Config.Plain); ("rcn", Config.Rcn); ("selective", Config.Selective) ]
+(* A command line that names no valid scenario, refused with Cmdliner's
+   exit code for command-line errors. *)
+let refuse ~cmd msg = fail ~code:Cmd.Exit.cli_error ~cmd msg
 
-let policy_conv =
-  Arg.enum [ ("shortest", Scenario.Announce_all); ("no-valley", Scenario.No_valley) ]
+(* The topology a local command runs on: the edge-list file's graph, or
+   the spec's own. *)
+let topology ~cmd p =
+  match p.edge_list with
+  | Some g -> Scenario.Custom g
+  | None -> (
+      try Svc.scenario_topology p.spec.Svc.topology
+      with Invalid_argument e -> refuse ~cmd e)
 
-let topology_arg =
-  let doc =
-    "Topology: mesh:RxC, internet:N[,M] (Barabasi-Albert), line:N, ring:N, clique:N, or \
-     an edge-list file."
-  in
-  Arg.(value & opt topology_conv Scenario.paper_mesh & info [ "t"; "topology" ] ~doc)
+(* The scenario of a local command: the protocol's elaboration, plus what
+   the wire spec lacks. The name "cli" is part of every result digest and
+   sweep-journal key, so it must not change. *)
+let scenario ~cmd ?(probe = Scenario.No_probe) ?faults ?workload p =
+  let ok = function Ok x -> x | Error e -> refuse ~cmd e in
+  let s = ok (Svc.elaborate p.spec (topology ~cmd p)) in
+  let workload = Option.value workload ~default:s.Scenario.workload in
+  let s = { s with Scenario.name = "cli"; probe; faults; workload } in
+  ok (Scenario.validate s);
+  s
 
-let damping_arg =
-  let doc = "Damping parameters: cisco, juniper or none." in
-  Arg.(value & opt params_conv (Some Params.cisco) & info [ "d"; "damping" ] ~doc)
-
-let mode_arg =
-  let doc = "Damping mode: plain, rcn or selective." in
-  Arg.(value & opt mode_conv Config.Plain & info [ "m"; "mode" ] ~doc)
-
-let policy_arg =
-  let doc = "Routing policy: shortest or no-valley." in
-  Arg.(value & opt policy_conv Scenario.Announce_all & info [ "p"; "policy" ] ~doc)
-
-let pulses_arg =
-  let doc = "Number of withdrawal/announcement pulses." in
-  Arg.(value & opt int 1 & info [ "n"; "pulses" ] ~doc)
-
-let interval_arg =
-  let doc = "Flap interval in seconds." in
-  Arg.(value & opt float 60. & info [ "i"; "interval" ] ~doc)
-
-let mrai_arg =
-  let doc = "MRAI in seconds (0 disables)." in
-  Arg.(value & opt float 30. & info [ "mrai" ] ~doc)
-
-let seed_arg =
-  let doc = "Random seed." in
-  Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
-
-let isp_arg =
-  let doc = "Node the flapping origin attaches to (-1 = random)." in
-  Arg.(value & opt int 0 & info [ "isp" ] ~doc)
-
-let probe_arg =
-  let doc = "Trace penalties at the first router at this hop distance from the origin." in
-  Arg.(value & opt (some int) None & info [ "probe-distance" ] ~doc)
-
-let table_hint_arg =
-  let doc =
-    "Initial bucket-count hint for each per-peer prefix-keyed router table \
-     (RIB-In, RIB-Out, MRAI deadlines, pending, flush timers). Lower it to 1-2 \
-     for Internet-scale single-origin runs so tens of thousands of low-degree \
-     routers don't pay fixed table overhead per session."
-  in
-  Arg.(
-    value
-    & opt int Config.default.Config.prefix_table_hint
-    & info [ "table-hint" ] ~docv:"N" ~doc)
-
-let background_arg =
-  let doc =
-    "Announce $(docv) steady background prefixes (one per seeded-random \
-     origin router) before the flap phase, so damping acts on a loaded RIB."
-  in
-  Arg.(value & opt int 0 & info [ "background" ] ~docv:"N" ~doc)
-
-let flappers_arg =
-  let doc =
-    "Add $(docv) background flapper prefixes — extra origins that keep \
-     withdrawing and re-announcing concurrently with the measured flap, with \
-     heavy-tailed (Pareto) inter-flap gaps. 0 disables the workload."
-  in
-  Arg.(value & opt int 0 & info [ "background-flappers" ] ~docv:"N" ~doc)
-
-let flaps_arg =
-  let doc = "Withdraw/announce pairs each background flapper performs." in
-  Arg.(value & opt int 3 & info [ "flaps" ] ~docv:"N" ~doc)
-
-let flap_gap_arg =
-  let doc = "Mean gap (seconds) between a background flapper's events." in
-  Arg.(value & opt float 60. & info [ "flap-gap" ] ~docv:"SECONDS" ~doc)
-
-let flap_alpha_arg =
-  let doc =
-    "Pareto tail exponent of the inter-flap gaps (smaller = heavier tail; \
-     must be positive)."
-  in
-  Arg.(value & opt float 1.5 & info [ "flap-alpha" ] ~docv:"ALPHA" ~doc)
-
-let flap_seed_arg =
-  let doc = "Seed of the background-flapper workload (independent of --seed)." in
-  Arg.(value & opt int 1 & info [ "flap-seed" ] ~docv:"SEED" ~doc)
-
-let workload_term =
-  let make flappers flaps gap alpha seed =
-    if flappers = 0 then Scenario.Pulses_only
-    else Scenario.Flappers { count = flappers; flaps; mean_gap = gap; alpha; seed }
-  in
-  Term.(
-    const make $ flappers_arg $ flaps_arg $ flap_gap_arg $ flap_alpha_arg
-    $ flap_seed_arg)
-
-let reuse_tick_arg =
-  let doc =
-    "Schedule reuse timers on an RFC 2439 reuse-list tick wheel with this tick period \
-     (seconds) instead of one exact timer per suppressed route. Reuse then happens at \
-     the first tick boundary at or after the exact reuse instant."
-  in
-  Arg.(value & opt (some float) None & info [ "reuse-tick" ] ~docv:"SECONDS" ~doc)
+let damping p = Svc.damping_params p.spec.Svc.damping
 
 (* ------------------------------------------------------------------ *)
 (* Run budgets and fault injection (shared by run and sweep)           *)
@@ -235,33 +207,13 @@ let faults_term =
     const make $ loss_arg $ dup_arg $ chaos_flaps_arg $ chaos_window_arg
     $ chaos_downtime_arg $ chaos_seed_arg)
 
-let build_scenario ?faults ?reuse_tick ?table_hint ?(background_prefixes = 0)
-    ?(workload = Scenario.Pulses_only) topology damping mode policy pulses interval mrai
-    seed isp probe =
-  let prefix_table_hint =
-    match table_hint with Some h -> h | None -> Config.default.Config.prefix_table_hint
-  in
-  let base = { Config.default with Config.mrai; seed; prefix_table_hint } in
-  let reuse = match reuse_tick with None -> Config.Exact | Some t -> Config.Tick t in
-  let config =
-    match damping with
-    | None -> base
-    | Some params -> Config.with_damping ~mode ~reuse params base
-  in
-  let probe =
-    match probe with None -> Scenario.No_probe | Some d -> Scenario.At_distance d
-  in
-  Scenario.make ~name:"cli" ~policy ~config
-    ~isp:(if isp < 0 then `Random else `Node isp)
-    ~pulses ~flap_interval:interval ~background_prefixes ~probe ?faults ~workload
-    topology
-
 (* ------------------------------------------------------------------ *)
 (* Exit-code convention (documented in every subcommand's man page):
      0 — success, every requested point produced clean data
      1 — at least one point crashed (raised an exception)
      2 — failures, but only benign ones: budget-exceeded, watchdog
          timeout, or an interrupted (drained) sweep
+     124 — the command line was refused ([refuse]) before anything ran
    Cmdliner's own 123/124/125 still apply to CLI parse errors etc. *)
 
 let exit_doc =
@@ -271,14 +223,17 @@ let exit_doc =
       "$(b,0) on success; $(b,1) if any point $(i,crashed) (the simulation \
        raised); $(b,2) if the only failures were benign — a run budget was \
        exceeded, a supervised job timed out, or the sweep was interrupted \
-       and drained gracefully.";
+       and drained gracefully; $(b,124) if the command line describes no \
+       valid scenario (say, a mesh under 3x3, a zero interval or \
+       $(b,--partitions) 0), reported on one line before anything is built.";
   ]
-
-let exit_crashed = 1
-let exit_degraded = 2
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
+
+let probe_arg =
+  let doc = "Trace penalties at the first router at this hop distance from the origin." in
+  Arg.(value & opt (some int) None & info [ "probe-distance" ] ~doc)
 
 let transcript_arg =
   let doc = "Print the first $(docv) protocol-trace lines of the flap phase." in
@@ -292,6 +247,10 @@ let partitions_arg =
      single-network engine — compare partitioned runs with partitioned runs."
   in
   Arg.(value & opt (some int) None & info [ "partitions" ] ~docv:"N" ~doc)
+
+let check_partitions ~cmd =
+  Option.iter (fun n ->
+      if n < 1 then refuse ~cmd (Printf.sprintf "--partitions must be >= 1 (got %d)" n))
 
 let print_digest_arg =
   let doc =
@@ -313,9 +272,7 @@ let simulate ~cmd ~budget ?observe ?on_bus ~partitions ~print_digest ~head
       | Some partitions ->
           let r, stats = Rfd.Runner.run_partitioned ~budget ?on_bus ~partitions scenario in
           (r, Some stats)
-    with e ->
-      Format.eprintf "rfd-sim %s: crashed: %s@." cmd (Printexc.to_string e);
-      exit exit_crashed
+    with e -> fail ~cmd ("crashed: " ^ Printexc.to_string e)
   in
   head r;
   (match par_stats with
@@ -339,12 +296,10 @@ let simulate ~cmd ~budget ?observe ?on_bus ~partitions ~print_digest ~head
   if Rfd.Runner.status_is_budget_exceeded r.Rfd.Runner.final_status then exit exit_degraded
 
 let run_cmd =
-  let action topology damping mode policy pulses interval mrai seed isp probe reuse_tick
-      table_hint background workload transcript budget faults partitions print_digest =
-    let scenario =
-      build_scenario ?faults ?reuse_tick ~table_hint ~background_prefixes:background
-        ~workload topology damping mode policy pulses interval mrai seed isp probe
-    in
+  let action p probe transcript budget faults partitions print_digest =
+    check_partitions ~cmd:"run" partitions;
+    let probe = Option.map (fun d -> Scenario.At_distance d) probe in
+    let scenario = scenario ~cmd:"run" ?probe ?faults p in
     (* The first [n] flap-phase events, newest first; rendered in [tail]. *)
     let kept = ref [] and room = ref (Option.value transcript ~default:0) in
     let keep ~time event =
@@ -373,9 +328,10 @@ let run_cmd =
               | _ -> ())
             pairs);
       let intended =
-        match damping with
+        match damping p with
         | Some params ->
-            Rfd.Intended.convergence_time params ~pulses ~interval ~tup:r.Rfd.Runner.tup
+            Rfd.Intended.convergence_time params ~pulses:p.spec.Svc.pulses
+              ~interval:p.spec.Svc.interval ~tup:r.Rfd.Runner.tup
         | None -> r.Rfd.Runner.tup
       in
       Format.printf "@.intended convergence for this flap pattern: %.0f s@." intended;
@@ -393,10 +349,10 @@ let run_cmd =
   let doc = "run one flap scenario and report metrics" in
   Cmd.v (Cmd.info "run" ~doc ~man:exit_doc)
     Term.(
-      const action $ topology_arg $ damping_arg $ mode_arg $ policy_arg $ pulses_arg
-      $ interval_arg $ mrai_arg $ seed_arg $ isp_arg $ probe_arg $ reuse_tick_arg
-      $ table_hint_arg $ background_arg $ workload_term $ transcript_arg $ budget_term
-      $ faults_term $ partitions_arg $ print_digest_arg)
+      const action
+      $ spec_term ~edge_list:true flags
+      $ probe_arg $ transcript_arg $ budget_term $ faults_term $ partitions_arg
+      $ print_digest_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -464,12 +420,8 @@ let install_drain_signals () =
     [ Sys.sigint; Sys.sigterm ]
 
 let sweep_cmd =
-  let action topology damping mode policy interval mrai seed isp reuse_tick table_hint
-      background workload max_pulses jobs budget faults deadline retries journal resume =
-    let scenario =
-      build_scenario ?faults ?reuse_tick ~table_hint ~background_prefixes:background
-        ~workload topology damping mode policy 1 interval mrai seed isp None
-    in
+  let action p max_pulses jobs budget faults deadline retries journal resume =
+    let scenario = scenario ~cmd:"sweep" ?faults p in
     let jobs = if jobs <= 0 then Rfd.Pool.default_jobs () else jobs in
     let pulses = List.init max_pulses (fun i -> i + 1) in
     let supervision =
@@ -498,8 +450,9 @@ let sweep_cmd =
         ("messages", Rfd.Sweep.message_series sweep);
       ]
       @
-      match damping with
+      match damping p with
       | Some params ->
+          let interval = p.spec.Svc.interval in
           [ ("intended(s)", Rfd.Sweep.intended_series params ~interval ~tup ~pulses) ]
       | None -> []
     in
@@ -522,36 +475,24 @@ let sweep_cmd =
   let doc = "sweep pulse counts and print convergence/message series" in
   Cmd.v (Cmd.info "sweep" ~doc ~man:exit_doc)
     Term.(
-      const action $ topology_arg $ damping_arg $ mode_arg $ policy_arg $ interval_arg
-      $ mrai_arg $ seed_arg $ isp_arg $ reuse_tick_arg $ table_hint_arg $ background_arg
-      $ workload_term $ max_pulses_arg $ jobs_arg $ budget_term $ faults_term
-      $ deadline_arg $ retries_arg $ journal_arg $ resume_arg)
+      const action
+      $ spec_term ~edge_list:true (List.filter (fun f -> f.key <> "pulses") flags)
+      $ max_pulses_arg $ jobs_arg $ budget_term $ faults_term $ deadline_arg $ retries_arg
+      $ journal_arg $ resume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay / trace-gen                                                  *)
 
 let replay_cmd =
-  let action trace_file topology damping mode policy pulses interval mrai seed isp
-      table_hint background budget partitions print_digest =
+  let action trace_file p budget partitions print_digest =
+    check_partitions ~cmd:"replay" partitions;
     let trace =
       match Rfd.Update_trace.of_file trace_file with
       | Ok trace -> trace
-      | Error e ->
-          Format.eprintf "rfd-sim replay: %s: %s@." trace_file e;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim replay: %s@." msg;
-          exit exit_crashed
+      | Error e -> fail ~cmd:"replay" (Printf.sprintf "%s: %s" trace_file e)
+      | exception Sys_error msg -> fail ~cmd:"replay" msg
     in
-    let scenario =
-      try
-        build_scenario ~table_hint ~background_prefixes:background
-          ~workload:(Scenario.Replay trace) topology damping mode policy pulses interval
-          mrai seed isp None
-      with Invalid_argument msg ->
-        Format.eprintf "rfd-sim replay: %s@." msg;
-        exit exit_crashed
-    in
+    let scenario = scenario ~cmd:"replay" ~workload:(Scenario.Replay trace) p in
     let head r =
       Format.printf "replayed %d trace event(s) over %d prefix(es)@.%a@."
         (Rfd.Update_trace.event_count trace)
@@ -564,13 +505,24 @@ let replay_cmd =
     let doc = "The rfd-trace/1 update trace to replay." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
-  let replay_pulses_arg =
-    let doc =
-      "Withdrawal/announcement pulses of the measured origin. Defaults to 0: \
-       the replayed trace is the traffic, the measured origin only announces \
-       once and damping of the recorded prefixes is what is under study."
+  let replay_flags =
+    let pulses =
+      {
+        (flag "pulses") with
+        doc =
+          "Withdrawal/announcement pulses of the measured origin. Defaults to 0: \
+           the replayed trace is the traffic, the measured origin only announces \
+           once and damping of the recorded prefixes is what is under study.";
+      }
     in
-    Arg.(value & opt int 0 & info [ "n"; "pulses" ] ~doc)
+    spec_term ~edge_list:true
+      ~base:{ Svc.default_spec with pulses = 0 }
+      (pulses
+      :: List.map flag
+           [
+             "topology"; "damping"; "mode"; "policy"; "interval"; "mrai"; "seed"; "isp";
+             "table-hint"; "background";
+           ])
   in
   let doc = "replay a recorded rfd-trace/1 update trace as the scenario workload" in
   let man =
@@ -590,20 +542,18 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc ~man)
     Term.(
-      const action $ trace_file_arg $ topology_arg $ damping_arg $ mode_arg $ policy_arg
-      $ replay_pulses_arg $ interval_arg $ mrai_arg $ seed_arg $ isp_arg $ table_hint_arg
-      $ background_arg $ budget_term $ partitions_arg $ print_digest_arg)
+      const action $ trace_file_arg $ replay_flags $ budget_term $ partitions_arg
+      $ print_digest_arg)
 
 let trace_gen_cmd =
-  let action flappers flaps gap alpha seed nodes first_prefix =
+  let action { spec; _ } flappers nodes first_prefix =
     match
-      Rfd.Update_trace.flappers ~seed ~nodes ~count:flappers ~flaps ~mean_gap:gap ~alpha
+      Rfd.Update_trace.flappers ~seed:spec.Svc.flap_seed ~nodes ~count:flappers
+        ~flaps:spec.Svc.flaps ~mean_gap:spec.Svc.flap_gap ~alpha:spec.Svc.flap_alpha
         ~first_prefix
     with
     | trace -> print_string (Rfd.Update_trace.to_string trace)
-    | exception Invalid_argument msg ->
-        Format.eprintf "rfd-sim trace-gen: %s@." msg;
-        exit exit_crashed
+    | exception Invalid_argument msg -> fail ~cmd:"trace-gen" msg
   in
   let gen_flappers_arg =
     let doc = "Flapping prefixes to synthesize." in
@@ -636,15 +586,17 @@ let trace_gen_cmd =
   in
   Cmd.v (Cmd.info "trace-gen" ~doc ~man)
     Term.(
-      const action $ gen_flappers_arg $ flaps_arg $ flap_gap_arg $ flap_alpha_arg
-      $ flap_seed_arg $ nodes_arg $ first_prefix_arg)
+      const action
+      $ spec_term (List.map flag [ "flaps"; "flap-gap"; "flap-alpha"; "flap-seed" ])
+      $ gen_flappers_arg $ nodes_arg $ first_prefix_arg)
 
 (* ------------------------------------------------------------------ *)
 (* intended                                                            *)
 
 let intended_cmd =
-  let action damping pulses interval tup =
-    let params = match damping with Some p -> p | None -> Params.cisco in
+  let action p tup =
+    let params = Option.value (damping p) ~default:Params.cisco in
+    let pulses = p.spec.Svc.pulses and interval = p.spec.Svc.interval in
     let s = Rfd.Intended.final_state params ~pulses ~interval in
     Format.printf "parameters: %a@." Params.pp params;
     Format.printf "penalty right after the final announcement: %.1f@."
@@ -661,14 +613,22 @@ let intended_cmd =
   in
   let doc = "print the Section 3 analytic (intended) damping behaviour" in
   Cmd.v (Cmd.info "intended" ~doc)
-    Term.(const action $ damping_arg $ pulses_arg $ interval_arg $ tup_arg)
+    Term.(
+      const action $ spec_term (List.map flag [ "damping"; "pulses"; "interval" ]) $ tup_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topo                                                                *)
 
+(* The graph topo and metrics describe. *)
+let graph ~cmd p =
+  try Rfd.Runner.base_graph ~seed:p.spec.Svc.seed (topology ~cmd p)
+  with Invalid_argument e -> refuse ~cmd e
+
+let topology_seed = spec_term ~edge_list:true (List.map flag [ "topology"; "seed" ])
+
 let topo_cmd =
-  let action topology seed relations =
-    let graph = Rfd.Runner.base_graph ~seed topology in
+  let action p relations =
+    let graph = graph ~cmd:"topo" p in
     if relations then
       print_string (Rfd.Edge_list.print (Rfd.Relations.infer_by_degree graph))
     else print_string (Rfd.Edge_list.print_graph graph)
@@ -678,14 +638,14 @@ let topo_cmd =
     Arg.(value & flag & info [ "relations" ] ~doc)
   in
   let doc = "generate a topology and print it as an edge list" in
-  Cmd.v (Cmd.info "topo" ~doc) Term.(const action $ topology_arg $ seed_arg $ relations_arg)
+  Cmd.v (Cmd.info "topo" ~doc) Term.(const action $ topology_seed $ relations_arg)
 
 (* ------------------------------------------------------------------ *)
 (* metrics                                                             *)
 
 let metrics_cmd =
-  let action topology seed =
-    let graph = Rfd.Runner.base_graph ~seed topology in
+  let action p =
+    let graph = graph ~cmd:"metrics" p in
     let s = Rfd.Topo_metrics.summarize graph in
     Format.printf "%a@." Rfd.Topo_metrics.pp_summary s;
     (match Rfd.Topo_metrics.power_law_alpha graph with
@@ -697,7 +657,7 @@ let metrics_cmd =
       (Rfd.Graph.degree_histogram graph)
   in
   let doc = "print structural metrics of a topology" in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const action $ topology_arg $ seed_arg)
+  Cmd.v (Cmd.info "metrics" ~doc) Term.(const action $ topology_seed)
 
 (* ------------------------------------------------------------------ *)
 (* query — client side of the rfd-simd daemon                          *)
@@ -718,17 +678,6 @@ let fleet_arg =
     value
     & opt (some (list ~sep:',' string)) None
     & info [ "fleet" ] ~docv:"SOCK1,SOCK2,..." ~doc)
-
-let svc_topology_arg =
-  let doc = "Topology: mesh:RxC, internet:N[,M], line:N, ring:N or clique:N." in
-  Arg.(
-    value
-    & opt svc_topo_conv Svc.default_spec.Svc.topology
-    & info [ "t"; "topology" ] ~doc)
-
-let svc_damping_arg =
-  let doc = "Damping parameters: cisco, juniper or none." in
-  Arg.(value & opt damping_conv Svc.Cisco & info [ "d"; "damping" ] ~doc)
 
 let query_timeout_arg =
   let doc =
@@ -773,9 +722,7 @@ let query_man =
    stays pure JSON — CI diffs it byte-for-byte across hit, miss, restart
    and failover) and map refusal codes onto the exit-code convention. *)
 let finish_query = function
-  | Error e ->
-      Format.eprintf "rfd-sim query: %s@." e;
-      exit exit_crashed
+  | Error e -> fail ~cmd:"query" e
   | Ok (Svc.Result { cached; body }) ->
       Format.eprintf "rfd-sim query: cache %s@."
         (if cached then "hit" else "miss");
@@ -788,34 +735,25 @@ let finish_query = function
       | Svc.Overloaded | Svc.Timeout | Svc.Shutting_down | Svc.Wrong_shard ->
           exit exit_degraded
       | Svc.Invalid | Svc.Crashed -> exit exit_crashed)
-  | Ok Svc.Pong | Ok (Svc.Stats _) ->
-      Format.eprintf "rfd-sim query: unexpected response@.";
-      exit exit_crashed
+  | Ok Svc.Pong | Ok (Svc.Stats _) -> fail ~cmd:"query" "unexpected response"
 
 let query_single ~timeout ~connect_retry ~attempts ~do_ping ~do_stats socket
     spec =
   let client =
     match Rfd.Svc_client.connect ~timeout ~retry_for:connect_retry socket with
     | client -> client
-    | exception e ->
-        Format.eprintf "rfd-sim query: cannot connect to %s: %s@." socket
-          (Printexc.to_string e);
-        exit exit_crashed
+    | exception e -> fail ~cmd:"query"
+          (Printf.sprintf "cannot connect to %s: %s" socket (Printexc.to_string e))
   in
   Fun.protect ~finally:(fun () -> Rfd.Svc_client.close client) @@ fun () ->
   if do_ping then begin
     if Rfd.Svc_client.ping client then print_endline "pong"
-    else begin
-      Format.eprintf "rfd-sim query: no pong from %s@." socket;
-      exit exit_crashed
-    end
+    else fail ~cmd:"query" ("no pong from " ^ socket)
   end
   else if do_stats then begin
     match Rfd.Svc_client.stats client with
     | Ok body -> print_endline body
-    | Error e ->
-        Format.eprintf "rfd-sim query: %s@." e;
-        exit exit_crashed
+    | Error e -> fail ~cmd:"query" e
   end
   else finish_query (Rfd.Svc_client.query ~attempts client spec)
 
@@ -825,8 +763,7 @@ let query_fleet ~timeout ~connect_retry ~attempts ~do_ping ~do_stats sockets
     match Rfd.Svc_fleet.create ~timeout ~connect_retry sockets with
     | fleet -> fleet
     | exception Invalid_argument msg ->
-        Format.eprintf "rfd-sim query: bad --fleet: %s@." msg;
-        exit exit_crashed
+        fail ~cmd:"query" ("bad --fleet: " ^ msg)
   in
   Fun.protect ~finally:(fun () -> Rfd.Svc_fleet.close fleet) @@ fun () ->
   if do_ping then begin
@@ -856,37 +793,10 @@ let query_fleet ~timeout ~connect_retry ~attempts ~do_ping ~do_stats sockets
   else finish_query (Rfd.Svc_fleet.query ~attempts fleet spec)
 
 let query_cmd =
-  let action socket fleet topology damping mode policy pulses interval mrai seed
-      isp table_hint reuse_tick background flappers flaps flap_gap flap_alpha
-      flap_seed timeout connect_retry attempts do_stats do_ping =
-    let spec =
-      {
-        Svc.topology;
-        damping;
-        mode;
-        policy;
-        pulses;
-        interval;
-        mrai;
-        seed;
-        isp;
-        table_hint;
-        reuse_tick;
-        background;
-        flappers;
-        flaps;
-        flap_gap;
-        flap_alpha;
-        flap_seed;
-      }
-    in
+  let action socket fleet { spec; _ } timeout connect_retry attempts do_stats do_ping =
     match (socket, fleet) with
-    | Some _, Some _ ->
-        Format.eprintf "rfd-sim query: --socket and --fleet are exclusive@.";
-        exit exit_crashed
-    | None, None ->
-        Format.eprintf "rfd-sim query: one of --socket or --fleet is required@.";
-        exit exit_crashed
+    | Some _, Some _ -> fail ~cmd:"query" "--socket and --fleet are exclusive"
+    | None, None -> fail ~cmd:"query" "one of --socket or --fleet is required"
     | Some socket, None ->
         query_single ~timeout ~connect_retry ~attempts ~do_ping ~do_stats socket
           spec
@@ -898,12 +808,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc ~man:query_man)
     Term.(
-      const action $ socket_arg $ fleet_arg $ svc_topology_arg $ svc_damping_arg
-      $ mode_arg $ policy_arg $ pulses_arg $ interval_arg $ mrai_arg $ seed_arg
-      $ isp_arg $ table_hint_arg $ reuse_tick_arg $ background_arg $ flappers_arg
-      $ flaps_arg $ flap_gap_arg $ flap_alpha_arg $ flap_seed_arg
-      $ query_timeout_arg $ connect_retry_arg $ attempts_arg $ stats_flag
-      $ ping_flag)
+      const action $ socket_arg $ fleet_arg $ spec_term flags $ query_timeout_arg
+      $ connect_retry_arg $ attempts_arg $ stats_flag $ ping_flag)
 
 (* ------------------------------------------------------------------ *)
 (* journal-compact                                                     *)
@@ -920,12 +826,7 @@ let journal_compact_cmd =
             r.Rfd.Journal.checked_corrupt
             (if r.Rfd.Journal.checked_torn then ", torn tail" else "");
           if r.Rfd.Journal.checked_corrupt > 0 then exit exit_crashed
-      | exception Failure msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
+      | exception (Failure msg | Sys_error msg) -> fail ~cmd:"journal-compact" msg
     end
     else
       match Rfd.Journal.compact path with
@@ -936,12 +837,7 @@ let journal_compact_cmd =
             path c.Rfd.Journal.kept
             (if c.Rfd.Journal.kept = 1 then "y" else "ies")
             c.Rfd.Journal.dropped_duplicates c.Rfd.Journal.dropped_corrupt
-      | exception Failure msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
+      | exception (Failure msg | Sys_error msg) -> fail ~cmd:"journal-compact" msg
   in
   let check_arg =
     let doc =

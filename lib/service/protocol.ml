@@ -165,6 +165,8 @@ let policy_of_string = function
   | "no-valley" -> Ok Scenario.No_valley
   | s -> Error (Printf.sprintf "unknown policy %S" s)
 
+let ( let* ) = Result.bind
+
 (* ------------------------------------------------------------------ *)
 (* Spec elaboration                                                    *)
 
@@ -181,7 +183,9 @@ let scenario_topology = function
   | Ring n -> Scenario.Custom (Builders.ring n)
   | Clique n -> Scenario.Custom (Builders.clique n)
 
-let scenario_of_spec spec =
+(* Admission caps: checked on the spec alone, before any topology or
+   scenario exists, so an abusive query costs no allocation. *)
+let admit spec =
   let nodes = topo_nodes spec.topology in
   if nodes <= 0 then
     Error (Printf.sprintf "topology %s has no nodes" (topo_to_string spec.topology))
@@ -209,50 +213,55 @@ let scenario_of_spec spec =
       (Printf.sprintf
          "flappers=%d x flaps=%d exceeds the %d-event workload admission cap"
          spec.flappers spec.flaps max_workload_events)
-  else
-    let base =
-      {
-        Config.default with
-        Config.mrai = spec.mrai;
-        seed = spec.seed;
-        prefix_table_hint = spec.table_hint;
-      }
-    in
-    let reuse =
-      match spec.reuse_tick with None -> Config.Exact | Some t -> Config.Tick t
-    in
-    let config =
-      match damping_params spec.damping with
-      | None -> base
-      | Some params -> Config.with_damping ~mode:spec.mode ~reuse params base
-    in
-    let workload =
-      if spec.flappers = 0 then Scenario.Pulses_only
-      else
-        Scenario.Flappers
-          {
-            count = spec.flappers;
-            flaps = spec.flaps;
-            mean_gap = spec.flap_gap;
-            alpha = spec.flap_alpha;
-            seed = spec.flap_seed;
-          }
-    in
-    match
-      Scenario.make ~name:"svc" ~policy:spec.policy ~config
-        ~isp:(if spec.isp < 0 then `Random else `Node spec.isp)
-        ~pulses:spec.pulses ~flap_interval:spec.interval
-        ~background_prefixes:spec.background ~workload (scenario_topology spec.topology)
-    with
-    | scenario -> (
-        (* Scenario.make checks its own arguments eagerly; validate catches
-           the structural rest (config ranges, topology shape) so a bad
-           query is refused before it is keyed, stored or scheduled. *)
-        match Scenario.validate scenario with
-        | Ok () -> Ok scenario
-        | Error e -> Error e)
-    | exception Invalid_argument msg -> Error msg
-    | exception Failure msg -> Error msg
+  else Ok ()
+
+let elaborate spec topology =
+  let base =
+    {
+      Config.default with
+      Config.mrai = spec.mrai;
+      seed = spec.seed;
+      prefix_table_hint = spec.table_hint;
+    }
+  in
+  let reuse =
+    match spec.reuse_tick with None -> Config.Exact | Some t -> Config.Tick t
+  in
+  let config =
+    match damping_params spec.damping with
+    | None -> base
+    | Some params -> Config.with_damping ~mode:spec.mode ~reuse params base
+  in
+  let workload =
+    if spec.flappers = 0 then Scenario.Pulses_only
+    else
+      Scenario.Flappers
+        {
+          count = spec.flappers;
+          flaps = spec.flaps;
+          mean_gap = spec.flap_gap;
+          alpha = spec.flap_alpha;
+          seed = spec.flap_seed;
+        }
+  in
+  match
+    Scenario.make ~name:"svc" ~policy:spec.policy ~config
+      ~isp:(if spec.isp < 0 then `Random else `Node spec.isp)
+      ~pulses:spec.pulses ~flap_interval:spec.interval
+      ~background_prefixes:spec.background ~workload topology
+  with
+  | scenario ->
+      (* Scenario.make checks its own arguments eagerly; validate catches
+         the structural rest (config ranges, topology shape) so a bad
+         query is refused before it is keyed, stored or scheduled. *)
+      Result.map (fun () -> scenario) (Scenario.validate scenario)
+  | exception (Invalid_argument msg | Failure msg) -> Error msg
+
+let scenario_of_spec spec =
+  let* () = admit spec in
+  match scenario_topology spec.topology with
+  | topology -> elaborate spec topology
+  | exception (Invalid_argument msg | Failure msg) -> Error msg
 
 (* The memo shares one materialized graph across requests for the same
    (seed, topology); it is reset once it holds more than 64 graphs, so a
@@ -270,7 +279,7 @@ let resolve ~memo spec =
 
 type request = Query of spec | Stats | Ping
 
-let spec_fields spec =
+let field_values spec =
   [
     ("topology", topo_to_string spec.topology);
     ("damping", damping_to_string spec.damping);
@@ -282,23 +291,29 @@ let spec_fields spec =
     ("seed", string_of_int spec.seed);
     ("isp", string_of_int spec.isp);
     ("table-hint", string_of_int spec.table_hint);
+    ("reuse-tick", match spec.reuse_tick with None -> "none" | Some t -> float_str t);
+    ("background", string_of_int spec.background);
+    ("flappers", string_of_int spec.flappers);
+    ("flaps", string_of_int spec.flaps);
+    ("flap-gap", float_str spec.flap_gap);
+    ("flap-alpha", float_str spec.flap_alpha);
+    ("flap-seed", string_of_int spec.flap_seed);
   ]
-  @ (match spec.reuse_tick with None -> [] | Some t -> [ ("reuse-tick", float_str t) ])
-  @ (if spec.background = 0 then []
-     else [ ("background", string_of_int spec.background) ])
-  @
-  (* The flapper knobs travel together: without a flapper count they have
-     nothing to parameterize, and omitting them keeps pre-workload query
-     lines (and hand-typed smoke queries) byte-stable. *)
-  if spec.flappers = 0 then []
-  else
-    [
-      ("flappers", string_of_int spec.flappers);
-      ("flaps", string_of_int spec.flaps);
-      ("flap-gap", float_str spec.flap_gap);
-      ("flap-alpha", float_str spec.flap_alpha);
-      ("flap-seed", string_of_int spec.flap_seed);
-    ]
+
+(* The wire omits the workload fields at their zero/absent defaults. The
+   flapper knobs travel together: without a flapper count they have
+   nothing to parameterize, and omitting them keeps pre-workload query
+   lines (and hand-typed smoke queries) byte-stable. *)
+let spec_fields spec =
+  List.filter
+    (fun (key, _) ->
+      match key with
+      | "reuse-tick" -> spec.reuse_tick <> None
+      | "background" -> spec.background <> 0
+      | "flappers" | "flaps" | "flap-gap" | "flap-alpha" | "flap-seed" ->
+          spec.flappers <> 0
+      | _ -> true)
+    (field_values spec)
 
 let render_request = function
   | Stats -> version ^ " stats\n"
@@ -319,7 +334,30 @@ let parse_float name v =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "bad number for %s: %S" name v)
 
-let ( let* ) = Result.bind
+let parse_field key value =
+  let field parse set = Result.map (fun v spec -> set spec v) (parse value) in
+  let int = parse_int key and float = parse_float key in
+  match key with
+  | "topology" -> field topo_of_string (fun s topology -> { s with topology })
+  | "damping" -> field damping_of_string (fun s damping -> { s with damping })
+  | "mode" -> field mode_of_string (fun s mode -> { s with mode })
+  | "policy" -> field policy_of_string (fun s policy -> { s with policy })
+  | "pulses" -> field int (fun s pulses -> { s with pulses })
+  | "interval" -> field float (fun s interval -> { s with interval })
+  | "mrai" -> field float (fun s mrai -> { s with mrai })
+  | "seed" -> field int (fun s seed -> { s with seed })
+  | "isp" -> field int (fun s isp -> { s with isp })
+  | "table-hint" -> field int (fun s table_hint -> { s with table_hint })
+  | "reuse-tick" ->
+      let tick = function "none" -> Ok None | v -> Result.map Option.some (float v) in
+      field tick (fun s reuse_tick -> { s with reuse_tick })
+  | "background" -> field int (fun s background -> { s with background })
+  | "flappers" -> field int (fun s flappers -> { s with flappers })
+  | "flaps" -> field int (fun s flaps -> { s with flaps })
+  | "flap-gap" -> field float (fun s flap_gap -> { s with flap_gap })
+  | "flap-alpha" -> field float (fun s flap_alpha -> { s with flap_alpha })
+  | "flap-seed" -> field int (fun s flap_seed -> { s with flap_seed })
+  | _ -> Error (Printf.sprintf "unknown field %S" key)
 
 let parse_spec tokens =
   let seen = Hashtbl.create 11 in
@@ -337,61 +375,8 @@ let parse_spec tokens =
       if Hashtbl.mem seen key then Error (Printf.sprintf "duplicate field %S" key)
       else begin
         Hashtbl.add seen key ();
-        match key with
-        | "topology" ->
-            let* t = topo_of_string value in
-            Ok { spec with topology = t }
-        | "damping" ->
-            let* d = damping_of_string value in
-            Ok { spec with damping = d }
-        | "mode" ->
-            let* m = mode_of_string value in
-            Ok { spec with mode = m }
-        | "policy" ->
-            let* p = policy_of_string value in
-            Ok { spec with policy = p }
-        | "pulses" ->
-            let* n = parse_int key value in
-            Ok { spec with pulses = n }
-        | "interval" ->
-            let* f = parse_float key value in
-            Ok { spec with interval = f }
-        | "mrai" ->
-            let* f = parse_float key value in
-            Ok { spec with mrai = f }
-        | "seed" ->
-            let* n = parse_int key value in
-            Ok { spec with seed = n }
-        | "isp" ->
-            let* n = parse_int key value in
-            Ok { spec with isp = n }
-        | "table-hint" ->
-            let* n = parse_int key value in
-            Ok { spec with table_hint = n }
-        | "reuse-tick" ->
-            if value = "none" then Ok { spec with reuse_tick = None }
-            else
-              let* f = parse_float key value in
-              Ok { spec with reuse_tick = Some f }
-        | "background" ->
-            let* n = parse_int key value in
-            Ok { spec with background = n }
-        | "flappers" ->
-            let* n = parse_int key value in
-            Ok { spec with flappers = n }
-        | "flaps" ->
-            let* n = parse_int key value in
-            Ok { spec with flaps = n }
-        | "flap-gap" ->
-            let* f = parse_float key value in
-            Ok { spec with flap_gap = f }
-        | "flap-alpha" ->
-            let* f = parse_float key value in
-            Ok { spec with flap_alpha = f }
-        | "flap-seed" ->
-            let* n = parse_int key value in
-            Ok { spec with flap_seed = n }
-        | _ -> Error (Printf.sprintf "unknown field %S" key)
+        let* set = parse_field key value in
+        Ok (set spec)
       end)
     (Ok default_spec) tokens
 

@@ -29,11 +29,34 @@ val version : string
 
 (** {1 Query specifications}
 
-    A query names a scenario by value, mirroring the knobs of
-    [rfd-sim run] (minus fault injection, probes and budgets — a served
-    result must be the unbudgeted ground truth). Daemon and fleet client
-    both key a spec with {!resolve} — so equal specs always map to equal
-    cache keys, across connections, restarts and machines. *)
+    A query names a scenario by value. The spec is also what [rfd-sim]'s
+    run, sweep, replay and query flags parse into, each flag value going
+    through {!parse_field}; fault injection, probes and budgets stay
+    local to the CLI (a served result must be the unbudgeted ground
+    truth). Daemon and fleet client both key a spec with {!resolve} — so
+    equal specs always map to equal cache keys, across connections,
+    restarts and machines.
+
+    The fields, in wire order, with their [rfd-sim] flags and defaults:
+
+{v wire key     rfd-sim flag              default
+topology     -t, --topology            mesh:10x10
+damping      -d, --damping             cisco      (cisco, juniper, none|off)
+mode         -m, --mode                plain      (plain, rcn, selective)
+policy       -p, --policy              shortest   (shortest, no-valley)
+pulses       -n, --pulses              1
+interval     -i, --interval            60
+mrai         --mrai                    30
+seed         -s, --seed                42
+isp          --isp                     0          (-1 = seeded-random)
+table-hint   --table-hint              8
+reuse-tick   --reuse-tick              none
+background   --background              0
+flappers     --background-flappers     0
+flaps        --flaps                   3
+flap-gap     --flap-gap                60
+flap-alpha   --flap-alpha              1.5
+flap-seed    --flap-seed               1 v} *)
 
 type topo =
   | Mesh of { rows : int; cols : int }
@@ -103,13 +126,26 @@ val damping_of_string : string -> (damping, string) result
 
 val damping_params : damping -> Rfd_damping.Params.t option
 
+val elaborate :
+  spec ->
+  Rfd_experiment.Scenario.topology ->
+  (Rfd_experiment.Scenario.t, string) result
+(** [elaborate spec topology] is the scenario named ["svc"] that [spec]
+    runs on [topology] ([spec.topology] is not consulted), checked by
+    {!Rfd_experiment.Scenario.make} and
+    {!Rfd_experiment.Scenario.validate}: a malformed spec is a clean
+    [Error], never a raise. No admission cap applies and no
+    [Mesh]/[Internet] graph is built; [rfd-sim] runs local scenarios
+    through this, on the spec's topology or an edge-list graph. *)
+
 val scenario_of_spec : spec -> (Rfd_experiment.Scenario.t, string) result
-(** Elaborate a spec into the scenario its run would execute, reusing
-    {!Rfd_experiment.Scenario.make}'s eager validation (plus the
-    {!max_nodes}/{!max_pulses} admission caps): a malformed or abusive
-    query is a clean [Error] here, never a crash (or an allocation)
-    later. The returned scenario still carries a [Mesh]/[Internet]
-    topology; {!resolve} materializes and keys it. *)
+(** The served elaboration: the admission caps ({!max_nodes},
+    {!max_pulses}, {!max_background}, {!max_flappers},
+    {!max_workload_events}) on the spec alone, then {!elaborate} on
+    {!scenario_topology}[ spec.topology]. An abusive query is a clean
+    [Error] here, never a crash (or an allocation) later. The returned
+    scenario still carries a [Mesh]/[Internet] topology; {!resolve}
+    materializes and keys it. *)
 
 val resolve :
   memo:(int * Rfd_experiment.Scenario.topology, Rfd_topology.Graph.t) Hashtbl.t ->
@@ -125,6 +161,18 @@ val resolve :
 (** {1 Requests} *)
 
 type request = Query of spec | Stats | Ping
+
+val parse_field : string -> string -> (spec -> spec, string) result
+(** [parse_field key value] parses [value] as spec field [key] (a wire
+    key of the table above) and returns the update that sets it. The one
+    field grammar: {!parse_request} reads [key=value] tokens with it and
+    [rfd-sim] its flag values. Unknown keys and unparsable values are
+    [Error]s naming the token. *)
+
+val field_values : spec -> (string * string) list
+(** Every field of a spec as [(wire key, value)], in wire order, each
+    value in the form {!parse_field} reads back (an absent [reuse-tick]
+    is ["none"]). *)
 
 val render_request : request -> string
 (** One full line, ['\n'] included. Spec fields are always written out

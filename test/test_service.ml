@@ -86,11 +86,20 @@ let test_request_round_trip () =
       let line = Protocol.render_request (Protocol.Query spec) in
       Alcotest.(check bool) "line ends in newline" true
         (line.[String.length line - 1] = '\n');
-      match Protocol.parse_request (String.sub line 0 (String.length line - 1)) with
+      (match Protocol.parse_request (String.sub line 0 (String.length line - 1)) with
       | Ok (Protocol.Query spec') ->
           Alcotest.(check bool) "spec survives the wire" true (spec = spec')
       | Ok _ -> Alcotest.fail "parsed as non-query"
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail e);
+      (* field_values is what rfd-sim prints as each flag's default, so
+         every value must read back through parse_field. *)
+      let set spec (key, value) =
+        match Protocol.parse_field key value with
+        | Ok set -> set spec
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check bool) "field_values read back" true
+        (List.fold_left set Protocol.default_spec (Protocol.field_values spec) = spec))
     specs;
   (match Protocol.parse_request "rfd-svc/1 query pulses=3" with
   | Ok (Protocol.Query spec) ->
@@ -194,9 +203,37 @@ let test_spec_admission () =
         | Rfd_experiment.Scenario.Flappers { count = 5; flaps = 2; _ } -> true
         | _ -> false)
   | Error e -> Alcotest.fail e);
-  match Protocol.scenario_of_spec (small_spec ()) with
+  (match Protocol.scenario_of_spec (small_spec ()) with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* The elaboration alone (what rfd-sim runs local scenarios through):
+     no admission cap, no graph built, and every check made against the
+     topology it is given rather than the spec's own. *)
+  let big =
+    { (small_spec ()) with Protocol.topology = Protocol.Internet { nodes = 100_001; m = 2 } }
+  in
+  refuse big "accepted a topology over the node cap";
+  (match Protocol.elaborate big (Protocol.scenario_topology big.Protocol.topology) with
+  | Ok scenario ->
+      Alcotest.(check bool) "the Internet graph is left unbuilt" true
+        (match scenario.Rfd_experiment.Scenario.topology with
+        | Rfd_experiment.Scenario.Internet { nodes = 100_001; m = 2 } -> true
+        | _ -> false)
+  | Error e -> Alcotest.fail e);
+  let edges =
+    String.concat "" (List.init 199 (fun i -> Printf.sprintf "%d %d\n" i (i + 1)))
+  in
+  let line =
+    match Rfd_topology.Edge_list.parse_graph edges with
+    | Ok g -> Rfd_experiment.Scenario.Custom g
+    | Error e -> Alcotest.fail e
+  in
+  (match Protocol.elaborate { (small_spec ()) with Protocol.isp = 150 } line with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("isp 150 on the 200-node file graph: " ^ e));
+  match Protocol.elaborate { (small_spec ()) with Protocol.isp = 250 } line with
+  | Ok _ -> Alcotest.fail "accepted isp 250 on a 200-node graph"
+  | Error _ -> ()
 
 let test_result_body_deterministic () =
   let spec = small_spec () in
